@@ -17,6 +17,7 @@
 use lf_bench::standard_fixture;
 use lf_core::config::DecoderConfig;
 use lf_core::pipeline::{Decoder, StageTimings};
+use lf_core::DecodeScratch;
 use lf_obs::{MetricValue, ObsContext, Snapshot};
 use lf_sim::experiments::Scale;
 use std::process::ExitCode;
@@ -96,15 +97,18 @@ fn main() -> ExitCode {
     cfg.rate_plan = fix.scenario.rate_plan.clone();
     let obs = ObsContext::new();
     let decoder = Decoder::with_obs(cfg, obs.clone());
+    // One scratch for every decode, as a reader worker holds one.
+    let mut scratch = DecodeScratch::default();
 
-    // One warm-up decode outside the timed window (page-in, allocator).
-    let _ = decoder.decode_timed(&fix.signal);
+    // One warm-up decode outside the timed window (page-in, allocator,
+    // scratch buffers).
+    let _ = decoder.decode_timed_with(&fix.signal, &mut scratch);
     let warm = obs.registry_snapshot();
 
     let t0 = Instant::now();
     let mut streams_decoded = 0usize;
     for _ in 0..args.epochs {
-        let (decode, _) = decoder.decode_timed(&fix.signal);
+        let (decode, _) = decoder.decode_timed_with(&fix.signal, &mut scratch);
         streams_decoded += decode.streams.len();
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);

@@ -20,10 +20,9 @@
 //!
 //! Normally invoked through `cargo xtask diag-report`.
 
-use lf_core::pipeline::Decoder;
 use lf_fleet::{realized_sources, FleetConfig, FleetRuntime, FrameExtractor};
-use lf_obs::{write_chrome_trace, FlightRecorder, MetricValue, ObsContext, Snapshot, TagLedger};
-use lf_reader::{ReaderRuntime, RuntimeConfig};
+use lf_obs::{write_chrome_trace, FlightRecorder, ObsContext, TagLedger};
+use lf_reader::{LatencySummary, RuntimeStats, StageLatencies};
 use lf_sim::scenario::{Scenario, ScenarioTag};
 use lf_types::{RatePlan, SampleRate};
 use std::process::ExitCode;
@@ -96,22 +95,31 @@ fn diag_scenario(noise: f64) -> Result<Scenario, String> {
     Ok(s)
 }
 
-/// Per-stage p99 exemplars from the reader's latency histograms: the
-/// exact `(epoch seq, rate class)` behind each stage's tail latency.
-fn exemplar_json(snap: &Snapshot) -> String {
-    lf_core::pipeline::StageTimings::names()
+/// Per-stage p99 exemplars from the readers' latency rings: for each
+/// stage (and the whole-epoch total), the reader with the slowest p99 and
+/// the exact `(epoch seq, rate class)` at that reader's p99 rank.
+fn exemplar_json(per_reader: &[RuntimeStats]) -> String {
+    let pick = |stage: &str, lat: &StageLatencies| -> Option<LatencySummary> {
+        if stage == "total" {
+            Some(lat.total)
+        } else {
+            lat.get(stage)
+        }
+    };
+    StageLatencies::names()
         .into_iter()
         .chain(std::iter::once("total"))
         .filter_map(|stage| {
-            let key = format!("reader.stage.{stage}.ns");
-            let Some(MetricValue::Histogram(h)) = snap.get(&key) else {
-                return None;
-            };
-            let (seq, class) = h.exemplar_near_quantile(0.99)?;
+            let (reader, summary) = per_reader
+                .iter()
+                .enumerate()
+                .filter_map(|(k, s)| pick(stage, &s.latency).map(|l| (k, l)))
+                .max_by_key(|(_, l)| l.p99)?;
+            let (seq, class) = summary.p99_epoch?;
             Some(format!(
                 "{{\"stage\":\"{stage}\",\"p99_ns\":{},\"epoch\":{seq},\
-                 \"class_bps\":{}}}",
-                h.quantile(0.99).unwrap_or(0),
+                 \"class_bps\":{},\"reader\":{reader}}}",
+                summary.p99.as_nanos(),
                 f64::from_bits(class),
             ))
         })
@@ -168,23 +176,6 @@ fn main() -> ExitCode {
     let sub = subs.remove(0);
     while sub.recv().is_some() {}
     let report = fleet.join();
-
-    // Exemplar sidecar: fleet readers deliberately run detached stats
-    // contexts (N readers would fold their `reader.*` metrics together),
-    // so the per-stage latency exemplars come from one extra reader pass
-    // on the fleet's own context — same scenario, its own realization.
-    {
-        let (mut side, _) = realized_sources(&scenario, 1, args.epochs, gap_samples, 8_192);
-        let decoder = Arc::new(Decoder::with_obs(decoder_cfg.clone(), obs.clone()));
-        let rt = ReaderRuntime::spawn_with_obs(
-            side.remove(0),
-            decoder,
-            &RuntimeConfig::for_decoder(&decoder_cfg),
-            obs.clone(),
-        );
-        let _stats = rt.join();
-    }
-    let snap = obs.registry_snapshot();
 
     let summary = ledger.summary();
     // Wiring guards: a violated conservation equation or an unattributed
@@ -267,7 +258,7 @@ fn main() -> ExitCode {
         byr = summary.delivered_by_readers,
         unexpected = summary.unexpected,
         attr_total = summary.attribution.attributed_total(),
-        exemplars = exemplar_json(&snap),
+        exemplars = exemplar_json(&report.per_reader),
         recorded = flight.recorded(),
         retained = flight.len(),
     );

@@ -4,10 +4,11 @@
 //! selection medians, reusable scratch) is required to leave the decode
 //! output *bit-identical*. This test pins the entire pipeline to one
 //! FNV-1a digest of every decoded field — bits, offsets, periods, edge
-//! vectors — over the standard CI fixture, and re-decodes through every
-//! entry point (pooled, pool-reused, and explicit dirty scratch) to prove
-//! they all land on the same digest. If an optimization perturbs a single
-//! mantissa bit anywhere in the decode, this fails.
+//! vectors — over the standard CI fixture, and re-decodes through both
+//! entry points (the one-shot `decode` on a fresh scratch, and
+//! `decode_timed_with` on a reused and on a dirtied caller-owned scratch)
+//! to prove they all land on the same digest. If an optimization perturbs
+//! a single mantissa bit anywhere in the decode, this fails.
 
 #![allow(clippy::unwrap_used)]
 
@@ -62,37 +63,35 @@ fn golden_decode_digest_over_seeded_session() {
     let mut cfg = DecoderConfig::at_sample_rate(fix.scenario.sample_rate);
     cfg.rate_plan = fix.scenario.rate_plan.clone();
     let decoder = Decoder::new(cfg);
+    let mut scratch = DecodeScratch::default();
+    let mut decode_with_scratch =
+        |signal: &[lf_types::Complex]| decoder.decode_timed_with(signal, &mut scratch).0;
 
-    let first = digest_of(&decoder.decode(&fix.signal));
+    let first = digest_of(&decode_with_scratch(&fix.signal));
     assert_eq!(
         first, GOLDEN,
         "decode digest moved: got {first:#018x}, pinned {GOLDEN:#018x} — \
          the pipeline output is no longer bit-identical to the golden session"
     );
 
-    // Second pooled decode reuses the scratch the first one returned to
-    // the pool; a third goes through the explicit-scratch entry point with
-    // a scratch dirtied by an unrelated capture. All must match.
-    let pooled_again = digest_of(&decoder.decode(&fix.signal));
-    assert_eq!(
-        pooled_again, GOLDEN,
-        "pool-reused scratch changed the decode"
-    );
+    // The second decode reuses the scratch the first one warmed; the third
+    // runs on a scratch dirtied by an unrelated capture. Both must match.
+    let reused = digest_of(&decode_with_scratch(&fix.signal));
+    assert_eq!(reused, GOLDEN, "reused scratch changed the decode");
 
-    let mut scratch = DecodeScratch::default();
     let other = standard_fixture(Scale::Quick, 3, 7);
-    let _ = decoder.decode_timed_with(&other.signal, &mut scratch);
-    let (explicit, _) = decoder.decode_timed_with(&fix.signal, &mut scratch);
-    assert_eq!(
-        digest_of(&explicit),
-        GOLDEN,
-        "dirty explicit scratch changed the decode"
-    );
+    let _ = decode_with_scratch(&other.signal);
+    let dirty = digest_of(&decode_with_scratch(&fix.signal));
+    assert_eq!(dirty, GOLDEN, "dirty scratch changed the decode");
+
+    // The one-shot entry point decodes on a fresh scratch of its own.
+    let one_shot = digest_of(&decoder.decode(&fix.signal));
+    assert_eq!(one_shot, GOLDEN, "one-shot decode changed the decode");
 
     // Force every lf-dsp kernel onto its scalar fallback: the SIMD
     // backends are pinned bit-identical, so the digest must not move.
     lf_dsp::simd::set_scalar_override(true);
-    let scalar = digest_of(&decoder.decode(&fix.signal));
+    let scalar = digest_of(&decode_with_scratch(&fix.signal));
     lf_dsp::simd::set_scalar_override(false);
     assert_eq!(
         scalar, GOLDEN,

@@ -17,6 +17,7 @@
 use lf_bench::standard_fixture;
 use lf_core::config::DecoderConfig;
 use lf_core::pipeline::Decoder;
+use lf_core::DecodeScratch;
 use lf_obs::ObsContext;
 use lf_sim::experiments::Scale;
 use std::time::{Duration, Instant};
@@ -28,10 +29,16 @@ const MIN_SAMPLES: usize = 7;
 const MAX_SAMPLES: usize = 35;
 const DECODES_PER_SAMPLE: usize = 4;
 
-fn time_batch(decoder: &Decoder, signal: &[lf_types::Complex]) -> Duration {
+/// Times one batch of decodes on the path's own warm scratch (as a
+/// reader worker decodes), so the comparison is instrumentation cost only.
+fn time_batch(
+    decoder: &Decoder,
+    scratch: &mut DecodeScratch,
+    signal: &[lf_types::Complex],
+) -> Duration {
     let t0 = Instant::now();
     for _ in 0..DECODES_PER_SAMPLE {
-        let decode = decoder.decode(signal);
+        let (decode, _) = decoder.decode_timed_with(signal, scratch);
         assert!(!decode.streams.is_empty(), "fixture must decode");
     }
     t0.elapsed()
@@ -47,10 +54,12 @@ fn disabled_obs_is_free() {
     };
     let disabled = Decoder::new(cfg());
     let enabled = Decoder::with_obs(cfg(), ObsContext::new());
+    let mut disabled_scratch = DecodeScratch::default();
+    let mut enabled_scratch = DecodeScratch::default();
 
-    // Warm-up: page in both code paths and the allocator.
-    time_batch(&disabled, &fix.signal);
-    time_batch(&enabled, &fix.signal);
+    // Warm-up: page in both code paths, the allocator, and the scratches.
+    time_batch(&disabled, &mut disabled_scratch, &fix.signal);
+    time_batch(&enabled, &mut enabled_scratch, &fix.signal);
 
     // Adaptive sampling: each minimum is monotone nonincreasing, so extra
     // samples can only move a noisy observation *toward* the true cost —
@@ -62,8 +71,8 @@ fn disabled_obs_is_free() {
         d.as_secs_f64() <= e.as_secs_f64() * 1.01 && e.as_secs_f64() <= d.as_secs_f64() * 1.05
     };
     for sample in 0..MAX_SAMPLES {
-        t_disabled = t_disabled.min(time_batch(&disabled, &fix.signal));
-        t_enabled = t_enabled.min(time_batch(&enabled, &fix.signal));
+        t_disabled = t_disabled.min(time_batch(&disabled, &mut disabled_scratch, &fix.signal));
+        t_enabled = t_enabled.min(time_batch(&enabled, &mut enabled_scratch, &fix.signal));
         if sample + 1 >= MIN_SAMPLES && in_bounds(t_disabled, t_enabled) {
             break;
         }

@@ -12,6 +12,7 @@
 
 use crate::config::DecoderConfig;
 use crate::pipeline::{Decoder, EpochDecode};
+use crate::scratch::DecodeScratch;
 use lf_dsp::window::moving_average;
 use lf_types::Complex;
 use std::ops::Range;
@@ -84,10 +85,15 @@ pub fn decode_session(signal: &[Complex], cfg: &DecoderConfig) -> Vec<SessionEpo
     let min_gap = (16.0 * cfg.edge_width) as usize;
     let min_epoch = 32 * cfg.detect_window;
     let decoder = Decoder::new(cfg.clone());
+    // One scratch for the whole session: every epoch after the first
+    // decodes on warm buffers.
+    let mut scratch = DecodeScratch::default();
     split_epochs(signal, smooth, min_gap, min_epoch)
         .into_iter()
         .map(|range| SessionEpoch {
-            decode: decoder.decode(&signal[range.clone()]),
+            decode: decoder
+                .decode_timed_with(&signal[range.clone()], &mut scratch)
+                .0,
             range,
         })
         .collect()

@@ -1,5 +1,5 @@
 //! The stage-graph decode path: composable stages over a shared
-//! [`EpochContext`].
+//! per-epoch context.
 //!
 //! The paper's reader is a five-stage pipeline (§3.1–§3.5), but running it
 //! as one linear function cannot express the sub-harmonic recovery the
@@ -8,22 +8,24 @@
 //! residual edges after the cluster analysis has seen the fused stream.
 //! This module models the pipeline as a small graph instead:
 //!
-//! * [`Stage`] — one stage, a stateless unit struct. All decode state
-//!   lives in the [`EpochContext`]; a stage reads and writes the context
-//!   and returns a [`StageOutcome`] telling the runner whether to advance
+//! * `Stage` — one stage, a stateless unit struct. All decode state
+//!   lives in the `EpochContext`; a stage reads and writes the context
+//!   and returns a `StageOutcome` telling the runner whether to advance
 //!   or jump back to an earlier stage by name.
-//! * [`EpochContext`] — the per-epoch arena: the borrowed IQ view (never
+//! * `EpochContext` — the per-epoch arena: the borrowed IQ view (never
 //!   cloned), the edge list, tracked streams, per-stream slot units, the
 //!   carve bookkeeping, and the assembled outputs.
-//! * [`PipelineGraph`] — the runner. It owns stage ordering, bounds
-//!   re-entry, and is the *single* instrumentation point: one installed
-//!   obs context, one span and one timing slot per stage execution
-//!   (re-entries accumulate into the same slot), metrics and provenance
-//!   recorded once. The public [`crate::pipeline::Decoder`] API is a thin
-//!   facade over [`PipelineGraph::run`].
+//! * `run` — the runner. It owns stage ordering, bounds re-entry, and is
+//!   the *single* instrumentation point: one installed obs context, one
+//!   stopwatch per stage execution (re-entries accumulate into the same
+//!   [`StageTimings`] slot), and every other view derived from that one
+//!   measurement — the stage spans close with it and the
+//!   `pipeline.stage.*` histograms record it. Provenance is assembled
+//!   once at the end. [`crate::pipeline::Decoder`] is a thin facade over
+//!   this runner, and all of the above is crate-private.
 //!
 //! Stage names, span names, metric names, and the [`StageTimings`] slots
-//! are all derived from the one [`STAGES`] array — adding a stage cannot
+//! are all derived from the one `STAGES` array — adding a stage cannot
 //! silently skip timing or observability.
 //!
 //! The sixth stage implements sub-harmonic carving: when a tracked
@@ -93,7 +95,7 @@ pub fn stage_names() -> [&'static str; STAGE_COUNT] {
 
 /// What the runner should do after a stage execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageOutcome {
+pub(crate) enum StageOutcome {
     /// Proceed to the next stage in graph order.
     Advance,
     /// Jump back to the named stage (a re-fold pass). The runner bounds
@@ -107,7 +109,7 @@ pub enum StageOutcome {
 /// the shared [`EpochContext`]. The runner wraps every execution in the
 /// stage's span and accumulates its wall clock into the stage's
 /// [`StageTimings`] slot — stages themselves carry no instrumentation.
-pub trait Stage: Sync {
+pub(crate) trait Stage: Sync {
     /// Short stage name: the [`StageTimings`] slot label and the re-entry
     /// key used by [`StageOutcome::ReEnter`].
     fn name(&self) -> &'static str;
@@ -151,7 +153,7 @@ struct StreamUnit {
 /// cloned (the runner owns the one sanitized copy that a NaN-poisoned
 /// capture forces).
 #[derive(Debug)]
-pub struct EpochContext<'a> {
+pub(crate) struct EpochContext<'a> {
     cfg: &'a DecoderConfig,
     signal: &'a [Complex],
     /// Epoch-wide prefix sums, built once by the runner and shared by the
@@ -716,152 +718,116 @@ fn retrack_for(ctx: &EpochContext<'_>, req: &CarveRequest) -> Option<TrackedStre
     )
 }
 
-/// The stage-graph runner — the single decode path behind
-/// [`crate::pipeline::Decoder`].
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineGraph;
-
-impl PipelineGraph {
-    /// Runs the decode graph over one epoch's IQ capture.
-    ///
-    /// This is the one instrumented path: the obs context is installed
-    /// once, every stage execution gets exactly one span and one timing
-    /// slot (re-entries accumulate into the slot of the stage they
-    /// re-run), and metrics plus [`DecodeProvenance`] are recorded once at
-    /// the end. `Decoder::decode`, `Decoder::decode_timed`, and the
-    /// obs-enabled construction are all thin wrappers over this function.
-    ///
-    /// Non-finite samples are treated as dropouts and zeroed before the
-    /// stages run (under `strict-checks` they panic naming the `input`
-    /// stage instead — see `lf_dsp::checks`).
-    pub fn run(
-        cfg: &DecoderConfig,
-        obs: &ObsContext,
-        signal: &[Complex],
-    ) -> (EpochDecode, StageTimings) {
-        let mut scratch = DecodeScratch::default();
-        Self::run_with(cfg, obs, signal, &mut scratch)
-    }
-
-    /// [`PipelineGraph::run`] with caller-owned [`DecodeScratch`]: a
-    /// long-running worker reuses one scratch across epochs and pays zero
-    /// steady-state allocation for the prefix sums, the edge-detection
-    /// series, the ownership index, and the fold histogram. Decode output
-    /// is bit-identical to a fresh scratch (the buffers carry no state
-    /// between epochs).
-    ///
-    /// Resolves a transient [`PipelineMetrics`] per call when obs is
-    /// enabled; epoch-loop callers should hold one across epochs and use
-    /// [`PipelineGraph::run_scoped`] instead (`Decoder` does).
-    pub fn run_with(
-        cfg: &DecoderConfig,
-        obs: &ObsContext,
-        signal: &[Complex],
-        scratch: &mut DecodeScratch,
-    ) -> (EpochDecode, StageTimings) {
-        let metrics = obs.is_enabled().then(|| PipelineMetrics::register(obs));
-        Self::run_scoped(cfg, obs, metrics.as_ref(), signal, scratch)
-    }
-
-    /// The full-control entry: caller-owned scratch *and* caller-owned
-    /// pre-resolved metric handles. With `metrics` resolved once per
-    /// worker, the per-epoch recording path touches no registry map and
-    /// allocates no metric names — the difference between the ~10 %
-    /// enabled-path overhead the name-lookup path measured and the <5 %
-    /// budget `obs_overhead` now enforces.
-    pub fn run_scoped(
-        cfg: &DecoderConfig,
-        obs: &ObsContext,
-        metrics: Option<&PipelineMetrics>,
-        signal: &[Complex],
-        scratch: &mut DecodeScratch,
-    ) -> (EpochDecode, StageTimings) {
-        // Install the context for the duration of the decode: every
-        // `span!`/`event!` below (and in the dsp kernels underneath) finds
-        // it through the thread local. Disabled context ⇒ the guard clears
-        // the slot and all of them are no-ops.
-        let _obs_guard = obs.install();
-        let _span_total = lf_obs::span!("pipeline.total");
-        let t_start = Instant::now();
-        checks::assert_finite_complex("input", signal);
-        let sanitized: Option<Vec<Complex>> = if signal.iter().all(|s| s.is_finite()) {
-            None
-        } else {
-            Some(
-                signal
-                    .iter()
-                    .map(|s| if s.is_finite() { *s } else { Complex::ZERO })
-                    .collect(),
-            )
-        };
-        let signal: &[Complex] = sanitized.as_deref().unwrap_or(signal);
-        // The one prefix-sum pass over the epoch, shared by the edges and
-        // slots stages. Built after sanitization so the sums can never see
-        // a non-finite sample; counted in `total` but in no stage slot
-        // (epoch setup, not stage work).
-        let DecodeScratch {
-            prefix,
-            msq,
-            select,
-            owner,
-            foreign,
-            unowned,
-            fold_hists,
-        } = scratch;
-        prefix.rebuild(signal);
-        let mut ctx = EpochContext::new(
-            cfg, signal, prefix, msq, select, owner, foreign, unowned, fold_hists,
-        );
-        let mut per_stage = [Duration::ZERO; STAGE_COUNT];
-        let mut i = 0usize;
-        let mut reentries = 0usize;
-        while i < STAGE_COUNT {
-            let stage = STAGES[i];
-            let t_stage = Instant::now();
-            let outcome = {
-                let _span = SpanGuard::enter(stage.span_name());
-                stage.run(&mut ctx)
-            };
-            per_stage[i] += t_stage.elapsed();
-            match outcome {
-                StageOutcome::Advance => i += 1,
-                StageOutcome::ReEnter(target) => {
-                    let back = STAGES.iter().position(|s| s.name() == target);
-                    match back {
-                        Some(j) if reentries < MAX_REENTRIES => {
-                            reentries += 1;
-                            i = j;
-                        }
-                        // Unknown target or re-entry budget exhausted:
-                        // never loop, just move on.
-                        _ => i += 1,
+/// Runs the decode graph over one epoch's IQ capture — the single decode
+/// path behind [`crate::pipeline::Decoder`].
+///
+/// This is the one instrumented path: the obs context is installed once,
+/// and each stage execution is measured by exactly one stopwatch here.
+/// That measurement accumulates into the stage's [`StageTimings`] slot
+/// (re-entries add into the slot of the stage they re-run) and closes the
+/// execution's span, so the trace ring carries the same durations the
+/// timings report; metrics (from the finished timings, via the
+/// pre-resolved `metrics` handles) and [`DecodeProvenance`] are recorded
+/// once at the end. `scratch` is the caller's reusable buffer set; decode
+/// output is bit-identical to a fresh one (the buffers carry no state
+/// between epochs).
+///
+/// Non-finite samples are treated as dropouts and zeroed before the
+/// stages run (under `strict-checks` they panic naming the `input` stage
+/// instead — see `lf_dsp::checks`).
+pub(crate) fn run(
+    cfg: &DecoderConfig,
+    obs: &ObsContext,
+    metrics: Option<&PipelineMetrics>,
+    signal: &[Complex],
+    scratch: &mut DecodeScratch,
+) -> (EpochDecode, StageTimings) {
+    // Install the context for the duration of the decode: every
+    // `span!`/`event!` below (and in the dsp kernels underneath) finds it
+    // through the thread local. Disabled context ⇒ the guard clears the
+    // slot and all of them are no-ops.
+    let _obs_guard = obs.install();
+    let span_total = SpanGuard::enter_measured("pipeline.total");
+    let t_start = Instant::now();
+    checks::assert_finite_complex("input", signal);
+    let sanitized: Option<Vec<Complex>> = if signal.iter().all(|s| s.is_finite()) {
+        None
+    } else {
+        Some(
+            signal
+                .iter()
+                .map(|s| if s.is_finite() { *s } else { Complex::ZERO })
+                .collect(),
+        )
+    };
+    let signal: &[Complex] = sanitized.as_deref().unwrap_or(signal);
+    // The one prefix-sum pass over the epoch, shared by the edges and
+    // slots stages. Built after sanitization so the sums can never see a
+    // non-finite sample; counted in `total` but in no stage slot (epoch
+    // setup, not stage work).
+    let DecodeScratch {
+        prefix,
+        msq,
+        select,
+        owner,
+        foreign,
+        unowned,
+        fold_hists,
+    } = scratch;
+    prefix.rebuild(signal);
+    let mut ctx = EpochContext::new(
+        cfg, signal, prefix, msq, select, owner, foreign, unowned, fold_hists,
+    );
+    let mut per_stage = [Duration::ZERO; STAGE_COUNT];
+    let mut i = 0usize;
+    let mut reentries = 0usize;
+    while i < STAGE_COUNT {
+        let stage = STAGES[i];
+        let span = SpanGuard::enter_measured(stage.span_name());
+        let t_stage = Instant::now();
+        let outcome = stage.run(&mut ctx);
+        let took = t_stage.elapsed();
+        per_stage[i] += took;
+        span.exit(took);
+        match outcome {
+            StageOutcome::Advance => i += 1,
+            StageOutcome::ReEnter(target) => {
+                let back = STAGES.iter().position(|s| s.name() == target);
+                match back {
+                    Some(j) if reentries < MAX_REENTRIES => {
+                        reentries += 1;
+                        i = j;
                     }
+                    // Unknown target or re-entry budget exhausted: never
+                    // loop, just move on.
+                    _ => i += 1,
                 }
             }
         }
-        let timings = StageTimings {
-            per_stage,
-            total: t_start.elapsed(),
-        };
-        let n_edges = ctx.edges.len();
-        let n_tracked = ctx.tracked.len();
-        let (streams, stream_provs): (Vec<_>, Vec<_>) = ctx.outputs.into_iter().unzip();
-        let decode = EpochDecode {
-            streams,
+    }
+    let timings = StageTimings {
+        per_stage,
+        total: t_start.elapsed(),
+    };
+    span_total.exit(timings.total);
+    let n_edges = ctx.edges.len();
+    let n_tracked = ctx.tracked.len();
+    let (streams, stream_provs): (Vec<_>, Vec<_>) = ctx.outputs.into_iter().unzip();
+    let decode = EpochDecode {
+        streams,
+        n_edges,
+        n_tracked,
+        provenance: DecodeProvenance {
             n_edges,
             n_tracked,
-            provenance: DecodeProvenance {
-                n_edges,
-                n_tracked,
-                admission: std::mem::take(&mut ctx.admission),
-                streams: stream_provs,
-            },
-        };
-        if let Some(m) = metrics {
-            m.record(&decode, &timings);
-        }
-        (decode, timings)
+            admission: std::mem::take(&mut ctx.admission),
+            streams: stream_provs,
+        },
+    };
+    if let Some(m) = metrics {
+        m.record(&decode, &timings);
     }
+    (decode, timings)
 }
 
 /// Pre-resolved handles for every metric the graph runner publishes per
@@ -873,9 +839,10 @@ impl PipelineGraph {
 ///
 /// All handles are cheap `Arc` clones into the shared registry:
 /// `PipelineMetrics` is `Clone`, and clones aggregate into the same
-/// counters.
+/// counters. The `pipeline.stage.<stage>.ns` and `pipeline.stage.total.ns`
+/// histograms are the workspace's only stage-latency metric family.
 #[derive(Debug, Clone)]
-pub struct PipelineMetrics {
+pub(crate) struct PipelineMetrics {
     epochs: Counter,
     edges_total: Counter,
     streams_tracked: Counter,
@@ -890,7 +857,7 @@ impl PipelineMetrics {
     /// Resolves every pipeline metric handle against `obs` once. On a
     /// disabled context every handle is detached and recording is a no-op
     /// (callers typically skip registering in that case).
-    pub fn register(obs: &ObsContext) -> Self {
+    pub(crate) fn register(obs: &ObsContext) -> Self {
         PipelineMetrics {
             epochs: obs.counter("pipeline.epochs"),
             edges_total: obs.counter("pipeline.edges_total"),
@@ -964,7 +931,7 @@ mod tests {
         let mut cfg = DecoderConfig::at_sample_rate(SampleRate::from_msps(1.0));
         cfg.rate_plan = RatePlan::from_bps(100.0, &[10_000.0]).expect("plan");
         let obs = ObsContext::disabled();
-        let (decode, timings) = PipelineGraph::run(&cfg, &obs, &[]);
+        let (decode, timings) = run(&cfg, &obs, None, &[], &mut DecodeScratch::default());
         assert!(decode.streams.is_empty());
         assert_eq!(decode.n_edges, 0);
         assert!(timings.total >= timings.per_stage.iter().sum::<Duration>());

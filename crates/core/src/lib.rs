@@ -27,7 +27,8 @@
 //!
 //! [`graph`] wires the stages together as a stage graph over a shared
 //! per-epoch context (with bounded re-entry for the sub-harmonic carve);
-//! [`pipeline`] exposes it behind the [`Decoder`] facade; [`reliability`]
+//! [`pipeline`] exposes it behind the [`Decoder`] facade, whose one timed
+//! call takes a caller-owned [`DecodeScratch`]; [`reliability`]
 //! implements the optional reader-side feedback of §3.6 (broadcast
 //! retransmit + network-wide rate backoff).
 //!
@@ -51,11 +52,11 @@ pub mod streams;
 
 pub use config::{DecodeStages, DecoderConfig};
 pub use epoch::{decode_session, split_epochs, SessionEpoch};
-pub use graph::{PipelineGraph, PipelineMetrics, Stage, StageOutcome, STAGE_COUNT};
+pub use graph::STAGE_COUNT;
 pub use pipeline::{DecodedStream, Decoder, EpochDecode, StageTimings, StreamKind};
 pub use provenance::{
     AnchorOutcome, CarveProvenance, DecodeProvenance, FoldProvenance, SeparationFallback,
     SeparationProvenance, StreamProvenance,
 };
 pub use reliability::{ReaderCommand, ReaderController};
-pub use scratch::{DecodeScratch, ScratchPool};
+pub use scratch::DecodeScratch;

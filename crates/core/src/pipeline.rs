@@ -1,15 +1,16 @@
 //! The assembled decode pipeline: IQ capture in, per-tag bit streams out.
 //!
-//! [`Decoder`] is a thin facade: every entry point — [`Decoder::decode`],
-//! [`Decoder::decode_timed`], obs-enabled or not — runs the same
-//! [`crate::graph::PipelineGraph::run`] path. Stage sequencing, re-entry,
-//! spans, timings, metrics, and provenance all live in the graph runner;
-//! nothing here duplicates them.
+//! [`Decoder`] is a thin facade over the stage-graph runner in
+//! [`crate::graph`]: [`Decoder::decode_timed_with`] is the one timed entry
+//! point, and [`Decoder::decode`] is the same call on a fresh
+//! [`DecodeScratch`]. Stage sequencing, re-entry, spans, timings, metrics,
+//! and provenance all live in the graph runner; nothing here duplicates
+//! them.
 
 use crate::config::DecoderConfig;
-use crate::graph::{stage_names, PipelineGraph, PipelineMetrics, STAGE_COUNT};
+use crate::graph::{self, stage_names, PipelineMetrics, STAGE_COUNT};
 use crate::provenance::DecodeProvenance;
-use crate::scratch::{DecodeScratch, ScratchPool};
+use crate::scratch::DecodeScratch;
 use lf_obs::ObsContext;
 use lf_types::{BitRate, BitVec, Complex};
 use std::time::Duration;
@@ -100,7 +101,10 @@ impl StageTimings {
 }
 
 /// The LF-Backscatter reader decoder.
-#[derive(Debug)]
+///
+/// Cloning is cheap: the configuration plus `Arc` handles into the same
+/// obs registry, so clones aggregate into the same metrics.
+#[derive(Debug, Clone)]
 pub struct Decoder {
     cfg: DecoderConfig,
     obs: ObsContext,
@@ -109,40 +113,13 @@ pub struct Decoder {
     /// map and formats no metric names, which is what keeps the enabled
     /// path inside the <5 % overhead budget `obs_overhead` enforces.
     metrics: Option<PipelineMetrics>,
-    /// Pool of reusable per-epoch scratch buffers: `decode`/`decode_timed`
-    /// check one out for the duration of the call and return it, so
-    /// repeated decodes through one `Decoder` allocate only on their first
-    /// epoch. Workers that own their concurrency (e.g. `lf-reader`) bypass
-    /// the pool via [`Decoder::decode_timed_with`]. The pool's concurrency
-    /// contract (exclusivity, loss tolerance, poison recovery) lives with
-    /// [`ScratchPool`].
-    scratch: ScratchPool<DecodeScratch>,
-}
-
-impl Clone for Decoder {
-    /// Clones the configuration, obs handle, and metric handles (all
-    /// `Arc`s into the same registry); the scratch pool is not cloned
-    /// (each clone starts with an empty pool and warms its own).
-    fn clone(&self) -> Self {
-        Decoder {
-            cfg: self.cfg.clone(),
-            obs: self.obs.clone(),
-            metrics: self.metrics.clone(),
-            scratch: ScratchPool::new(),
-        }
-    }
 }
 
 impl Decoder {
     /// Creates a decoder with observability disabled (the no-op context:
     /// spans, events, and metrics all cost one predictable branch).
     pub fn new(cfg: DecoderConfig) -> Self {
-        Decoder {
-            cfg,
-            obs: ObsContext::disabled(),
-            metrics: None,
-            scratch: ScratchPool::new(),
-        }
+        Decoder::with_obs(cfg, ObsContext::disabled())
     }
 
     /// Creates a decoder that records spans, events, and metrics into
@@ -152,26 +129,12 @@ impl Decoder {
     /// once, so no decode pays registry-lookup cost.
     pub fn with_obs(cfg: DecoderConfig, obs: ObsContext) -> Self {
         let metrics = obs.is_enabled().then(|| PipelineMetrics::register(&obs));
-        Decoder {
-            cfg,
-            obs,
-            metrics,
-            scratch: ScratchPool::new(),
-        }
+        Decoder { cfg, obs, metrics }
     }
 
-    /// The decoder's observability context (disabled unless constructed
-    /// via [`Decoder::with_obs`]).
-    pub fn obs(&self) -> &ObsContext {
-        &self.obs
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.cfg
-    }
-
-    /// Decodes one epoch's IQ capture.
+    /// Decodes one epoch's IQ capture on a fresh [`DecodeScratch`] — the
+    /// one-shot convenience. Callers decoding many epochs hold one scratch
+    /// and call [`Decoder::decode_timed_with`] instead.
     ///
     /// Non-finite samples (NaN/∞ from a misbehaving front end) are
     /// treated as dropouts and zeroed before processing — one poisoned
@@ -182,45 +145,22 @@ impl Decoder {
     /// stage boundary) panics naming the stage, so numeric taint is caught
     /// at its source instead of decaying into a wrong decode.
     pub fn decode(&self, signal: &[Complex]) -> EpochDecode {
-        self.decode_timed(signal).0
+        self.decode_timed_with(signal, &mut DecodeScratch::default())
+            .0
     }
 
-    /// Decodes one epoch and reports the wall-clock cost of each stage.
-    ///
-    /// Identical decode semantics to [`Decoder::decode`] — the timings are
-    /// observation only and never influence the result, so a timed decode
-    /// of a capture is byte-identical to an untimed one.
-    pub fn decode_timed(&self, signal: &[Complex]) -> (EpochDecode, StageTimings) {
-        let mut scratch = self.checkout();
-        let out = self.decode_timed_with(signal, &mut scratch);
-        self.checkin(scratch);
-        out
-    }
-
-    /// [`Decoder::decode_timed`] with a caller-owned [`DecodeScratch`],
-    /// bypassing the internal pool. A long-running worker holds one
-    /// scratch and reuses it across epochs; decode output is bit-identical
-    /// to the pooled entry points.
+    /// Decodes one epoch on a caller-owned [`DecodeScratch`] and reports
+    /// the wall-clock cost of each stage. A long-running worker holds one
+    /// scratch and reuses it across epochs (zero steady-state allocation
+    /// in the hot paths); the output is bit-identical to
+    /// [`Decoder::decode`] — the scratch carries no state between epochs,
+    /// and the timings are observation only.
     pub fn decode_timed_with(
         &self,
         signal: &[Complex],
         scratch: &mut DecodeScratch,
     ) -> (EpochDecode, StageTimings) {
-        PipelineGraph::run_scoped(&self.cfg, &self.obs, self.metrics.as_ref(), signal, scratch)
-    }
-
-    /// Checks a scratch out of the pool (allocating a fresh one the first
-    /// time). A poisoned pool lock only means another decode panicked
-    /// mid-epoch; the buffers carry no cross-epoch state, so recovery is
-    /// safe — and a scratch lost to an unwinding decode (checked out,
-    /// never checked in) is simply re-allocated on the next decode, which
-    /// the strict-checks poison-path test pins as bit-identical.
-    fn checkout(&self) -> DecodeScratch {
-        self.scratch.checkout()
-    }
-
-    fn checkin(&self, scratch: DecodeScratch) {
-        self.scratch.checkin(scratch);
+        graph::run(&self.cfg, &self.obs, self.metrics.as_ref(), signal, scratch)
     }
 }
 
@@ -517,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_and_decode_timed_agree() {
+    fn decode_and_decode_timed_with_agree() {
         // Both entry points are the same graph run: the decoded streams
         // must be identical and the timings self-consistent.
         let setup = build(
@@ -533,7 +473,8 @@ mod tests {
         );
         let decoder = Decoder::new(cfg());
         let plain = decoder.decode(&setup.signal);
-        let (timed, timings) = decoder.decode_timed(&setup.signal);
+        let (timed, timings) =
+            decoder.decode_timed_with(&setup.signal, &mut DecodeScratch::default());
         assert_eq!(plain.streams.len(), timed.streams.len());
         for (a, b) in plain.streams.iter().zip(&timed.streams) {
             assert_eq!(a.rate_bps, b.rate_bps);

@@ -1,13 +1,15 @@
-//! Scratch-pool poison path: a decode that panics mid-epoch must not
-//! corrupt later decodes through the same `Decoder`.
+//! Dirty scratch after a panic: a decode that panics mid-epoch must not
+//! corrupt later decodes on the same caller-owned [`DecodeScratch`].
 //!
-//! Under `strict-checks` a non-finite sample panics at the stage boundary
-//! that sees it — *after* the decoder has checked a [`DecodeScratch`] out
-//! of its pool, so the unwind loses that scratch (it is never checked
-//! back in). The pool's contract says that is fine: the loss is absorbed,
-//! the next checkout defaults a fresh scratch, and the decode it feeds is
-//! bit-identical to one through a never-poisoned decoder. This test pins
-//! exactly that with an FNV-1a digest over every decoded field.
+//! Under `strict-checks` a NaN sample in the middle of an epoch panics
+//! the decode at the stage boundary that sees it, unwinding out of a
+//! scratch that still holds the previous epoch's buffers. `lf-reader`
+//! workers rely on that being harmless: `decode_contained` catches the
+//! panic and the worker reuses its one scratch for the next epoch. The
+//! scratch's contract (no decode state between epochs: every buffer is
+//! cleared or rebuilt before it is read) says the next decode on it is
+//! bit-identical to one on a fresh scratch. This test pins exactly that
+//! with an FNV-1a digest over every decoded field.
 
 #![cfg(feature = "strict-checks")]
 // Test-only code: a panic is the failure report.
@@ -17,6 +19,7 @@ use lf_channel::air::{synthesize, AirConfig, TagAir};
 use lf_channel::dynamics::StaticChannel;
 use lf_core::config::DecoderConfig;
 use lf_core::pipeline::{Decoder, EpochDecode, StreamKind};
+use lf_core::DecodeScratch;
 use lf_tag::clock::ClockModel;
 use lf_tag::comparator::Comparator;
 use lf_tag::tag::{LfTag, TagConfig};
@@ -34,8 +37,9 @@ fn cfg() -> DecoderConfig {
     c
 }
 
-/// One clean single-tag epoch the decoder resolves deterministically.
-fn clean_signal() -> Vec<Complex> {
+/// One clean single-tag epoch at `rate_bps` the decoder resolves
+/// deterministically.
+fn clean_signal(rate_bps: f64) -> Vec<Complex> {
     let fs = SampleRate::from_msps(FS_MSPS);
     let mut bits = BitVec::new();
     bits.push(true); // anchor
@@ -44,7 +48,7 @@ fn clean_signal() -> Vec<Complex> {
     }
     let tag = LfTag::new(TagConfig {
         id: TagId(0),
-        rate: BitRate::from_bps(2_000.0, BASE_BPS).unwrap(),
+        rate: BitRate::from_bps(rate_bps, BASE_BPS).unwrap(),
         clock: ClockModel {
             drift: 0.0,
             jitter_std_s: 0.0,
@@ -101,49 +105,53 @@ fn digest_of(decode: &EpochDecode) -> u64 {
     h
 }
 
+/// Runs `decode` expecting a strict-checks panic; returns its message.
+fn strict_panic_message(decode: impl FnOnce()) -> String {
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // keep the expected panic quiet
+    let result = catch_unwind(AssertUnwindSafe(decode));
+    std::panic::set_hook(prev_hook);
+    let payload = result.expect_err("strict-checks let a tainted epoch through");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_default()
+}
+
 #[test]
-fn decoder_survives_a_poisoned_decode_bit_identically() {
-    let signal = clean_signal();
+fn scratch_decodes_bit_identically_after_a_panicked_decode() {
+    let signal = clean_signal(2_000.0);
     let decoder = Decoder::new(cfg());
 
-    // Reference digest from a pristine decoder; this also warms the pool
-    // (the decode checks a scratch out and returns it).
+    // Reference digest from a fresh scratch.
     let golden = digest_of(&decoder.decode(&signal));
     let independent = digest_of(&Decoder::new(cfg()).decode(&signal));
     assert_eq!(golden, independent, "decode is not deterministic");
 
-    // Panic a borrower mid-decode: a NaN sample trips the strict-checks
-    // stage-boundary assert *after* checkout, so the unwind swallows the
-    // pooled scratch.
+    // One scratch for the whole test, left dirty by a different epoch.
+    let mut scratch = DecodeScratch::default();
+    let _ = decoder.decode_timed_with(&clean_signal(5_000.0), &mut scratch);
+
+    // Panic a decode on that scratch: a NaN sample mid-epoch trips the
+    // strict-checks guard.
     let mut tainted = signal.clone();
-    let mid = tainted.len() / 2;
-    tainted[mid] = Complex::new(f64::NAN, 0.0);
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {})); // keep the expected panic quiet
-    let result = catch_unwind(AssertUnwindSafe(|| decoder.decode(&tainted)));
-    std::panic::set_hook(prev_hook);
-    let payload = result.expect_err("strict-checks let a NaN sample through");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-        .unwrap_or_default();
+    tainted[signal.len() / 2] = Complex::new(f64::NAN, 0.0);
+    let msg = strict_panic_message(|| {
+        let _ = decoder.decode_timed_with(&tainted, &mut scratch);
+    });
     assert!(
         msg.contains("strict-checks"),
-        "unexpected panic during tainted decode: {msg}"
+        "unexpected panic during the tainted decode: {msg}"
     );
 
-    // The pool recovered: the next decodes (first on a freshly defaulted
-    // scratch replacing the lost one, then on that scratch reused) are
-    // bit-identical to the pristine run.
-    assert_eq!(
-        digest_of(&decoder.decode(&signal)),
-        golden,
-        "decode after a poisoned borrower is not bit-identical"
-    );
-    assert_eq!(
-        digest_of(&decoder.decode(&signal)),
-        golden,
-        "decode on the post-poison reused scratch is not bit-identical"
-    );
+    // The same scratch, as the panic left it, decodes the clean signal
+    // bit-identically — twice.
+    for pass in ["first", "second"] {
+        assert_eq!(
+            digest_of(&decoder.decode_timed_with(&signal, &mut scratch).0),
+            golden,
+            "{pass} decode on the post-panic scratch is not bit-identical"
+        );
+    }
 }

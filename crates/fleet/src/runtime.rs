@@ -137,9 +137,9 @@ pub struct FleetReport {
 }
 
 /// Fleet-wide counters and histograms, registered under `fleet.*`.
-/// Readers additionally share the fleet's [`ObsContext`], so the
-/// `reader.*` metrics aggregate across the whole fleet in the same
-/// registry.
+/// Readers do *not* share the fleet's [`ObsContext`]: each is spawned
+/// with a disabled one (see [`FleetRuntime::spawn`]), so its `reader.*`
+/// counters stay per-reader and surface in [`FleetReport::per_reader`].
 #[derive(Debug)]
 struct FleetShared {
     frames_delivered: Counter,
@@ -281,8 +281,8 @@ impl FleetRuntime {
         FleetRuntime::spawn(sources, decoder, cfg, n_subscribers, obs)
     }
 
-    /// The observability context the fleet (and its readers) record
-    /// into.
+    /// The observability context the fleet's `fleet.*` metrics (and a
+    /// decoder built by [`FleetRuntime::spawn_decoder`]) record into.
     pub fn obs(&self) -> &ObsContext {
         &self.obs
     }

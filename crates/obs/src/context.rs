@@ -26,10 +26,11 @@ const DEFAULT_RING: usize = 4096;
 pub(crate) struct ObsInner {
     registry: MetricsRegistry,
     ring: TraceRing,
-    /// Span-name → `span.<name>.ns` histogram handle cache. Span names
-    /// are `&'static str`s declared by the stage graph, so the cache
-    /// saturates after the first epoch and the span-exit hot path never
-    /// formats a name or walks the registry map again.
+    /// Span-name → `span.<name>.ns` histogram handle cache for
+    /// self-timed spans. Span names are `&'static str`s declared at the
+    /// span sites (the dsp kernels, the separation sub-span), so the
+    /// cache saturates after the first epoch and the span-exit hot path
+    /// never formats a name or walks the registry map again.
     span_hists: Mutex<HashMap<&'static str, Histogram>>,
     t0: Instant,
 }

@@ -2,18 +2,10 @@
 //!
 //! Values (typically nanoseconds) land in log-linear buckets: 8 linear
 //! sub-buckets per power of two, giving a worst-case relative error of
-//! 12.5 % across the full `u64` range with a fixed 4 KiB footprint per
-//! histogram. Recording is a single `fetch_add` on the bucket plus
+//! 12.5 % across the full `u64` range with a fixed footprint of about
+//! 4 KiB per histogram: 496 `u64` bucket counters (3968 B) plus four
+//! scalar cells. Recording is a single `fetch_add` on the bucket plus
 //! count/sum updates — no locks, safe from any number of threads.
-//!
-//! Each bucket can also carry an **exemplar** — the last
-//! `(epoch seq, tag key)` recorded into it via
-//! [`HistogramCore::record_with_exemplar`] — so a p99 outlier in a
-//! latency histogram links back to the exact offending epoch instead of
-//! being an anonymous tail. Exemplar cells are independent relaxed
-//! atomics (a torn pair across two racing records is possible and
-//! acceptable: both values still name *some* recent sample in that
-//! bucket; this is monitoring, not accounting).
 //!
 //! Exact `min` and `max` are tracked on the side so the tails of a
 //! [`HistogramSnapshot`] are never bucket-quantized: `quantile(0.0)` is
@@ -83,11 +75,6 @@ pub struct HistogramCore {
     /// Exact extrema (`u64::MAX` / 0 sentinels while empty).
     min: AtomicU64,
     max: AtomicU64,
-    /// Per-bucket exemplar sequence, stored as `seq + 1` (saturating) so
-    /// 0 means "no exemplar recorded".
-    ex_seq: Vec<AtomicU64>,
-    /// Per-bucket exemplar key (meaningful only when `ex_seq` ≠ 0).
-    ex_key: Vec<AtomicU64>,
 }
 
 impl Default for HistogramCore {
@@ -98,8 +85,6 @@ impl Default for HistogramCore {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            ex_seq: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            ex_key: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 }
@@ -116,19 +101,6 @@ impl HistogramCore {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Records one observation and remembers `(seq, key)` as the bucket's
-    /// exemplar — typically the epoch sequence number and the tag's rate
-    /// class key, so an outlier bucket names the epoch that filled it.
-    pub fn record_with_exemplar(&self, v: u64, seq: u64, key: u64) {
-        self.record(v);
-        let b = bucket_of(v);
-        // ordering: Relaxed — last-writer-wins monitoring cells; the two
-        // stores are independent (see the module docs on torn pairs) and
-        // publish nothing beyond their own values.
-        self.ex_key[b].store(key, Ordering::Relaxed);
-        self.ex_seq[b].store(seq.saturating_add(1), Ordering::Relaxed);
     }
 
     /// Observations recorded so far.
@@ -169,24 +141,12 @@ impl HistogramCore {
             min = bucket_lo(first);
             max = bucket_hi(last);
         }
-        let exemplars = self
-            .ex_seq
-            .iter()
-            .zip(&self.ex_key)
-            .map(|(s, k)| {
-                // ordering: Relaxed — monitoring reads of last-writer-wins
-                // cells; a torn pair is acceptable by design.
-                let s = s.load(Ordering::Relaxed);
-                (s > 0).then(|| (s - 1, k.load(Ordering::Relaxed)))
-            })
-            .collect();
         HistogramSnapshot {
             buckets,
             count,
             sum,
             min,
             max,
-            exemplars,
         }
     }
 }
@@ -204,9 +164,6 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Exact largest observation (0 while empty).
     pub max: u64,
-    /// Per-bucket `(epoch seq, tag key)` exemplars, aligned with
-    /// `buckets`; `None` where no exemplar was ever recorded.
-    pub exemplars: Vec<Option<(u64, u64)>>,
 }
 
 impl HistogramSnapshot {
@@ -218,7 +175,6 @@ impl HistogramSnapshot {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            exemplars: vec![None; N_BUCKETS],
         }
     }
 
@@ -273,42 +229,6 @@ impl HistogramSnapshot {
         } else {
             Some(self.sum as f64 / self.count as f64)
         }
-    }
-
-    /// The exemplar nearest the `q`-quantile: the `(epoch seq, tag key)`
-    /// last recorded into the quantile's bucket, or into the closest
-    /// bucket that has one (higher buckets preferred — the outliers a
-    /// diagnosis wants to name live above the quantile, not below it).
-    /// `None` while empty or when no exemplar was ever recorded.
-    pub fn exemplar_near_quantile(&self, q: f64) -> Option<(u64, u64)> {
-        if self.count == 0 || self.exemplars.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        let mut target = self.buckets.len().saturating_sub(1);
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                target = i;
-                break;
-            }
-        }
-        let target = target.min(self.exemplars.len() - 1);
-        for d in 0..self.exemplars.len() {
-            if target + d < self.exemplars.len() {
-                if let Some(e) = self.exemplars[target + d] {
-                    return Some(e);
-                }
-            }
-            if d > 0 && d <= target {
-                if let Some(e) = self.exemplars[target - d] {
-                    return Some(e);
-                }
-            }
-        }
-        None
     }
 
     /// Cumulative `(upper_bound, count)` pairs over the non-empty prefix,
@@ -443,53 +363,6 @@ mod tests {
         assert!(s.min <= s.max);
         assert_eq!(s.min, 100);
         assert_eq!(s.max, 5000);
-    }
-
-    #[test]
-    fn exemplar_remembers_the_last_sample_per_bucket() {
-        let h = HistogramCore::default();
-        h.record_with_exemplar(1000, 3, 0xAA);
-        h.record_with_exemplar(1001, 7, 0xBB); // same bucket: overwrites
-        h.record_with_exemplar(900_000, 12, 0xCC); // far bucket
-        let s = h.snapshot();
-        assert_eq!(s.exemplars[bucket_of(1000)], Some((7, 0xBB)));
-        assert_eq!(s.exemplars[bucket_of(900_000)], Some((12, 0xCC)));
-        assert_eq!(s.exemplars[bucket_of(5)], None);
-    }
-
-    #[test]
-    fn p99_exemplar_names_the_outlier_epoch() {
-        let h = HistogramCore::default();
-        // 99 ordinary epochs around 10µs, one pathological at 9ms.
-        for seq in 0..99u64 {
-            h.record_with_exemplar(10_000 + seq, seq, 0x5000);
-        }
-        h.record_with_exemplar(9_000_000, 42, 0x9000);
-        let s = h.snapshot();
-        assert_eq!(s.exemplar_near_quantile(0.999), Some((42, 0x9000)));
-        // The median exemplar stays in the bulk.
-        let (seq, key) = s.exemplar_near_quantile(0.5).unwrap();
-        assert!(seq < 99, "median exemplar escaped the bulk: seq {seq}");
-        assert_eq!(key, 0x5000);
-    }
-
-    #[test]
-    fn plain_record_leaves_no_exemplar() {
-        let h = HistogramCore::default();
-        h.record(500);
-        let s = h.snapshot();
-        assert!(s.exemplars.iter().all(Option::is_none));
-        assert_eq!(s.exemplar_near_quantile(0.99), None);
-    }
-
-    #[test]
-    fn exemplar_seq_zero_is_representable() {
-        // seq 0 must round-trip (the sentinel is internal, not a lost
-        // first epoch).
-        let h = HistogramCore::default();
-        h.record_with_exemplar(77, 0, 0xF);
-        let s = h.snapshot();
-        assert_eq!(s.exemplars[bucket_of(77)], Some((0, 0xF)));
     }
 
     #[test]

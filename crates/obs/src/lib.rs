@@ -10,8 +10,11 @@
 //!   exportable as Prometheus text or JSON lines.
 //! * **Tracing** — [`span!`]/[`event!`] macros recording into a
 //!   fixed-size ring via a thread-local [`ObsContext`], so DSP kernels
-//!   trace without signature plumbing. Span exits feed `span.<name>.ns`
-//!   histograms: the per-stage latency distributions come for free.
+//!   trace without signature plumbing. Self-timed span exits feed
+//!   `span.<name>.ns` histograms; caller-timed spans
+//!   ([`SpanGuard::enter_measured`]) carry a duration measured elsewhere
+//!   — the decode stage graph's, whose one stage-latency family is
+//!   `pipeline.stage.*`.
 //! * **Context** — [`ObsContext`] ties the two together and travels with
 //!   a decoder; [`ObsContext::disabled`] is a `None` whose every
 //!   operation is a no-op branch (the overhead bench in `lf-bench` holds
@@ -26,9 +29,6 @@
 //! * [`FlightRecorder`] — a bounded ring of per-epoch records that dumps
 //!   a deterministic JSON black box on trigger (anomalous epoch,
 //!   delivery-ratio breach, worker panic);
-//! * histogram **exemplars** ([`Histogram::record_with_exemplar`]) — each
-//!   bucket remembers the last `(epoch seq, tag key)` so tail outliers
-//!   name the offending epoch;
 //! * [`chrome_trace_json`] — Chrome trace-event export of the span ring
 //!   (`LF_OBS_TRACE=trace.json`, loadable in Perfetto).
 //!
@@ -36,7 +36,7 @@
 //! let ctx = lf_obs::ObsContext::new();
 //! {
 //!     let _g = ctx.install();
-//!     let _span = lf_obs::span!("pipeline.edges");
+//!     let _span = lf_obs::span!("dsp.fold");
 //!     ctx.counter("epochs.decoded").inc();
 //!     lf_obs::event!(Info, "found {} edges", 42);
 //! }

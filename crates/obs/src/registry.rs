@@ -140,13 +140,6 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Records one observation and tags its bucket with an
-    /// `(epoch seq, tag key)` exemplar (see
-    /// [`HistogramCore::record_with_exemplar`]).
-    pub fn record_with_exemplar(&self, v: u64, seq: u64, key: u64) {
-        self.core.record_with_exemplar(v, seq, key);
-    }
-
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.core.count()

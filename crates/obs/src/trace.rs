@@ -16,21 +16,24 @@
 //! nothing.
 //!
 //! Span nesting is tracked per thread: each record carries the dotted
-//! path of open spans (`pipeline.separation.dsp.kmeans`), and every span
-//! exit also records its duration into the registry histogram
-//! `span.<name>.ns`, which is how the per-stage latency histograms in the
-//! metrics snapshot are fed. The `pipeline.<stage>` span names are not
-//! chosen here: the decode stage graph (`lf_core::graph`) declares one
-//! static span name per stage and the graph runner opens it around each
-//! stage execution, so the span tree always mirrors the pipeline's real
-//! shape.
+//! path of open spans (`pipeline.separation.dsp.kmeans`). A span opened
+//! with [`crate::span!`] times itself and also records its duration into
+//! the registry histogram `span.<name>.ns`. A span opened with
+//! [`SpanGuard::enter_measured`] is timed by its caller instead: it reads
+//! no clock and feeds no histogram, and its exit record carries the
+//! duration handed to [`SpanGuard::exit`]. The decode stage graph
+//! (`lf_core::graph`) opens its `pipeline.<stage>` and `pipeline.total`
+//! spans that way, so the trace ring carries exactly the durations the
+//! runner's one stopwatch measured and the stage latencies have a single
+//! histogram family (`pipeline.stage.*`). The span tree still mirrors the
+//! pipeline's real shape.
 
 use crate::context::ObsContext;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Severity of an event record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -205,26 +208,56 @@ fn path_string() -> String {
     SPAN_STACK.with(|s| s.borrow().join("."))
 }
 
-/// An open span. Created by [`crate::span!`]; records its duration (and a
-/// `span.<name>.ns` histogram sample) when dropped. Inactive — a
-/// do-nothing token — when no context is installed.
+/// An open span. Created by [`crate::span!`] (self-timed) or
+/// [`SpanGuard::enter_measured`] (caller-timed); records its exit when
+/// dropped. Inactive — a do-nothing token — when no context is installed.
 #[derive(Debug)]
 pub struct SpanGuard {
-    active: Option<(ObsContext, Instant)>,
+    active: Option<(ObsContext, SpanClock)>,
     name: &'static str,
 }
 
+/// Where a span's duration comes from.
+#[derive(Debug)]
+enum SpanClock {
+    /// The guard times itself and feeds `span.<name>.ns`.
+    Own(Instant),
+    /// The caller measures it and hands it to [`SpanGuard::exit`] (zero
+    /// if the guard is dropped without one, e.g. on an unwinding path).
+    Caller(Duration),
+}
+
 impl SpanGuard {
-    /// Opens a span named `name` against the thread's current context.
+    /// Opens a self-timed span named `name` against the thread's current
+    /// context; its exit also records a `span.<name>.ns` sample.
     pub fn enter(name: &'static str) -> Self {
+        Self::open(name, || SpanClock::Own(Instant::now()))
+    }
+
+    /// Opens a span whose duration the caller measures: no clock read and
+    /// no histogram. Close it with [`SpanGuard::exit`].
+    pub fn enter_measured(name: &'static str) -> Self {
+        Self::open(name, || SpanClock::Caller(Duration::ZERO))
+    }
+
+    fn open(name: &'static str, clock: impl FnOnce() -> SpanClock) -> Self {
         let Some(ctx) = current() else {
             return SpanGuard { active: None, name };
         };
         SPAN_STACK.with(|s| s.borrow_mut().push(name));
         ctx.record(RecordKind::SpanEnter, path_string(), String::new());
         SpanGuard {
-            active: Some((ctx, Instant::now())),
+            active: Some((ctx, clock())),
             name,
+        }
+    }
+
+    /// Closes a span opened by [`SpanGuard::enter_measured`] with the
+    /// caller's measured duration. (A self-timed span ignores `dur` and
+    /// keeps its own clock.)
+    pub fn exit(mut self, dur: Duration) {
+        if let Some((_, SpanClock::Caller(d))) = &mut self.active {
+            *d = dur;
         }
     }
 
@@ -236,20 +269,25 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some((ctx, started)) = self.active.take() else {
+        let Some((ctx, clock)) = self.active.take() else {
             return;
         };
-        let dur = started.elapsed();
+        let (dur, own) = match clock {
+            SpanClock::Own(started) => (started.elapsed(), true),
+            SpanClock::Caller(d) => (d, false),
+        };
         let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
         ctx.record(
             RecordKind::SpanExit { dur_ns },
             path_string(),
             String::new(),
         );
-        // Resolved through the context's per-name cache: no `format!`
-        // and no registry BTreeMap walk on the span-exit hot path (part
-        // of the <5 % enabled-overhead budget).
-        ctx.span_histogram(self.name).record(dur_ns);
+        if own {
+            // Resolved through the context's per-name cache: no `format!`
+            // and no registry BTreeMap walk on the span-exit hot path
+            // (part of the <5 % enabled-overhead budget).
+            ctx.span_histogram(self.name).record(dur_ns);
+        }
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             // Pop *this* span; tolerate a scrambled stack (a leaked guard
@@ -308,13 +346,13 @@ mod tests {
         let ctx = ObsContext::new();
         {
             let _g = ctx.install();
-            let _outer = crate::span!("pipeline.edges");
+            let _outer = crate::span!("dsp.fold");
             crate::event!(Info, "found {} edges", 3);
         }
         let recs = ctx.recent_trace();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].kind, RecordKind::SpanEnter);
-        assert_eq!(recs[0].path, "pipeline.edges");
+        assert_eq!(recs[0].path, "dsp.fold");
         assert!(matches!(
             recs[1].kind,
             RecordKind::Event {
@@ -324,7 +362,42 @@ mod tests {
         assert_eq!(recs[1].message, "found 3 edges");
         assert!(matches!(recs[2].kind, RecordKind::SpanExit { .. }));
         let snap = ctx.registry_snapshot();
-        assert!(snap.get("span.pipeline.edges.ns").is_some());
+        assert!(snap.get("span.dsp.fold.ns").is_some());
+    }
+
+    #[test]
+    fn measured_spans_carry_the_callers_duration_and_no_histogram() {
+        let ctx = ObsContext::new();
+        {
+            let _g = ctx.install();
+            let outer = SpanGuard::enter_measured("pipeline.total");
+            let inner = SpanGuard::enter_measured("pipeline.edges");
+            {
+                // A self-timed sub-span nests under the measured ones.
+                let _k = crate::span!("dsp.kernel");
+            }
+            inner.exit(Duration::from_nanos(1_234));
+            outer.exit(Duration::from_nanos(5_678));
+        }
+        let exits: Vec<(String, u64)> = ctx
+            .recent_trace()
+            .into_iter()
+            .filter_map(|r| match r.kind {
+                RecordKind::SpanExit { dur_ns } => Some((r.path, dur_ns)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(exits.len(), 3);
+        assert_eq!(exits[0].0, "pipeline.total.pipeline.edges.dsp.kernel");
+        assert_eq!(
+            exits[1],
+            ("pipeline.total.pipeline.edges".to_owned(), 1_234)
+        );
+        assert_eq!(exits[2], ("pipeline.total".to_owned(), 5_678));
+        let snap = ctx.registry_snapshot();
+        assert!(snap.get("span.dsp.kernel.ns").is_some());
+        assert!(snap.get("span.pipeline.edges.ns").is_none());
+        assert!(snap.get("span.pipeline.total.ns").is_none());
     }
 
     #[test]

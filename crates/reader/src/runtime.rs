@@ -49,10 +49,10 @@ use std::thread::JoinHandle;
 /// `lf_core::Decoder`; tests and ablations can substitute their own.
 ///
 /// Each worker thread owns one [`DecodeScratch`] for its whole lifetime
-/// and passes it to every decode, so a decoder built on
-/// [`lf_core::PipelineGraph`](lf_core::PipelineGraph) allocates its epoch
-/// buffers once per worker, not once per epoch. Decoders that don't reuse
-/// buffers simply ignore the argument.
+/// and passes it to every decode, so `lf_core::Decoder` (through
+/// [`Decoder::decode_timed_with`]) allocates its epoch buffers once per
+/// worker, not once per epoch. Decoders that don't reuse buffers simply
+/// ignore the argument.
 pub trait EpochDecoder: Send + Sync + 'static {
     /// Decodes one segmented epoch, reporting per-stage timings.
     fn decode_epoch(
@@ -360,9 +360,11 @@ impl ReaderRuntime {
 
     /// [`ReaderRuntime::spawn`] with an observability context. Every
     /// pipeline thread installs `obs` thread-locally, so `reader.*`
-    /// counters, per-stage latency histograms, spans, and events from all
-    /// workers aggregate into the one shared registry without contention
-    /// (counters are sharded). Pass [`ObsContext::disabled`] (what
+    /// counters, spans, and events from all workers aggregate into the one
+    /// shared registry without contention (counters are sharded). Stage
+    /// latencies are recorded by the decoder itself (`pipeline.stage.*`,
+    /// when it was built over `obs` with `Decoder::with_obs`); the
+    /// runtime keeps its own copy only in [`ReaderRuntime::stats`]. Pass [`ObsContext::disabled`] (what
     /// [`ReaderRuntime::spawn`] does) to make every recording a no-op
     /// while keeping [`ReaderRuntime::stats`] fully functional.
     pub fn spawn_with_obs<S: IqSource + 'static>(
@@ -427,11 +429,11 @@ impl ReaderRuntime {
                     let result = decode_contained(&*decoder, &job, &mut scratch);
                     match &result {
                         EpochResult::Decoded { decode, timings } => {
-                            // Exemplar: a latency outlier links back to the
-                            // epoch (and the rate class it was carrying)
-                            // that produced it.
+                            // The ring entry names the epoch (and the rate
+                            // class it was carrying), so a latency outlier
+                            // links back to the epoch that produced it.
                             let class = decode.streams.first().map_or(0, |s| s.rate_bps.to_bits());
-                            stats.record_latency(timings, (job.seq, class));
+                            stats.record_latency(job.seq, class, timings);
                             diag.observe_decoded(
                                 job.seq,
                                 decode,
@@ -491,23 +493,9 @@ impl ReaderRuntime {
         ReaderRuntime::spawn(source, Arc::new(Decoder::new(decoder_cfg)), &cfg)
     }
 
-    /// [`ReaderRuntime::spawn_decoder`] with an observability context:
-    /// the pipeline decoder itself is built over `obs`, so decode spans
-    /// (`pipeline.*`, `dsp.*`) and metrics land in the same registry as
-    /// the `reader.*` runtime counters.
-    pub fn spawn_decoder_with_obs<S: IqSource + 'static>(
-        source: S,
-        decoder_cfg: DecoderConfig,
-        obs: ObsContext,
-    ) -> Self {
-        let cfg = RuntimeConfig::for_decoder(&decoder_cfg);
-        let decoder = Arc::new(Decoder::with_obs(decoder_cfg, obs.clone()));
-        ReaderRuntime::spawn_with_obs(source, decoder, &cfg, obs)
-    }
-
     /// The observability context this runtime records into. Disabled
-    /// (all recordings no-ops) unless the runtime was spawned through one
-    /// of the `*_with_obs` constructors.
+    /// (all recordings no-ops) unless the runtime was spawned through
+    /// [`ReaderRuntime::spawn_with_obs`].
     pub fn obs(&self) -> &ObsContext {
         &self.obs
     }

@@ -2,21 +2,23 @@
 //!
 //! Counters are [`lf_obs`] registry handles — sharded atomics bumped by
 //! the pipeline threads that double as named metrics (`reader.*`) in the
-//! runtime's [`lf_obs::ObsContext`]. Decode latencies additionally go
-//! into fixed-size rings (last 1024 epochs per stage) under a short-lived
-//! mutex: the registry histograms accumulate since startup, while the
-//! rings give *exact* recent-window percentiles. [`RuntimeStats`] is a
-//! self-consistent-enough snapshot for a poll loop — the runtime keeps
-//! serving while it is taken.
+//! runtime's [`lf_obs::ObsContext`]. Decode latencies are *not* copied
+//! into the registry: the decoder's own `pipeline.stage.*` histograms are
+//! the one stage-latency metric family. The reader's single record of
+//! them is a fixed-size ring of the last 1024 decoded epochs — each
+//! entry the epoch's [`StageTimings`] plus its seq and rate-class key —
+//! under a short-lived mutex. The ring gives *exact* recent-window
+//! percentiles and names the epoch at each p99 rank.
+//! [`RuntimeStats`] is a self-consistent-enough snapshot for a poll loop
+//! — the runtime keeps serving while it is taken.
 //!
 //! The per-stage breakdown is derived from the decode graph itself
 //! ([`StageTimings::names`]), so a stage added to `lf_core::graph` shows
-//! up here — and in the `reader.stage.<name>.ns` registry metrics —
-//! without this file changing.
+//! up here without this file changing.
 
 use lf_core::pipeline::StageTimings;
 use lf_core::STAGE_COUNT;
-use lf_obs::{Counter, Gauge, Histogram, ObsContext};
+use lf_obs::{Counter, Gauge, ObsContext};
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
@@ -42,11 +44,8 @@ pub(crate) struct StatsShared {
     pub forced_splits: Counter,
     job_queue_depth: Gauge,
     result_queue_depth: Gauge,
-    /// One histogram per decode stage, in graph order; registered once at
-    /// construction so the per-epoch path never formats a metric name.
-    h_stages: [Histogram; STAGE_COUNT],
-    h_total: Histogram,
-    latencies: Mutex<LatencyRings>,
+    /// The most recent decoded epochs, oldest first.
+    latencies: Mutex<VecDeque<LatencyEntry>>,
 }
 
 impl Default for StatsShared {
@@ -55,17 +54,15 @@ impl Default for StatsShared {
     }
 }
 
-#[derive(Debug, Default)]
-struct LatencyRings {
-    per_stage: [VecDeque<u64>; STAGE_COUNT],
-    total: VecDeque<u64>,
-}
-
-fn push_ring(ring: &mut VecDeque<u64>, v: u64) {
-    ring.push_back(v);
-    if ring.len() > LATENCY_RING {
-        ring.pop_front();
-    }
+/// One decoded epoch in the latency ring.
+#[derive(Debug, Clone, Copy)]
+struct LatencyEntry {
+    /// The epoch's sequence number.
+    seq: u64,
+    /// Rate-class key of the epoch's first decoded stream
+    /// (`rate_bps.to_bits()`, 0 when it decoded none).
+    class: u64,
+    timings: StageTimings,
 }
 
 pub(crate) fn nanos_of(d: Duration) -> u64 {
@@ -73,10 +70,9 @@ pub(crate) fn nanos_of(d: Duration) -> u64 {
 }
 
 impl StatsShared {
-    /// Creates the runtime's statistics block, registering every counter,
-    /// gauge, and latency histogram in `obs` under `reader.*` names.
+    /// Creates the runtime's statistics block, registering every counter
+    /// and gauge in `obs` under `reader.*` names.
     pub fn new(obs: &ObsContext) -> Self {
-        let names = StageTimings::names();
         StatsShared {
             chunks_in: obs.counter("reader.chunks_in"),
             samples_in: obs.counter("reader.samples_in"),
@@ -87,33 +83,25 @@ impl StatsShared {
             forced_splits: obs.counter("reader.forced_splits"),
             job_queue_depth: obs.gauge("reader.job_queue_depth"),
             result_queue_depth: obs.gauge("reader.result_queue_depth"),
-            h_stages: std::array::from_fn(|i| {
-                obs.histogram(&format!("reader.stage.{}.ns", names[i]))
-            }),
-            h_total: obs.histogram("reader.stage.total.ns"),
-            latencies: Mutex::new(LatencyRings::default()),
+            latencies: Mutex::new(VecDeque::with_capacity(LATENCY_RING)),
         }
     }
 
-    /// Records one epoch's latencies. `exemplar` is `(epoch seq, rate
-    /// class key)`: every histogram bucket the timings land in remembers
-    /// it, so a p99 outlier in a snapshot links back to the offending
-    /// epoch (see `lf_obs::HistogramSnapshot::exemplar_near_quantile`).
-    pub fn record_latency(&self, t: &StageTimings, exemplar: (u64, u64)) {
-        let (seq, key) = exemplar;
-        for (h, d) in self.h_stages.iter().zip(t.per_stage) {
-            h.record_with_exemplar(nanos_of(d), seq, key);
-        }
-        self.h_total
-            .record_with_exemplar(nanos_of(t.total), seq, key);
-        let mut rings = self
+    /// Records one decoded epoch's stage timings under its seq and
+    /// rate-class key, evicting the oldest entry once the ring is full.
+    pub fn record_latency(&self, seq: u64, class: u64, timings: &StageTimings) {
+        let mut ring = self
             .latencies
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        for (ring, d) in rings.per_stage.iter_mut().zip(t.per_stage) {
-            push_ring(ring, nanos_of(d));
+        if ring.len() == LATENCY_RING {
+            ring.pop_front();
         }
-        push_ring(&mut rings.total, nanos_of(t.total));
+        ring.push_back(LatencyEntry {
+            seq,
+            class,
+            timings: *timings,
+        });
     }
 
     pub fn snapshot(&self, job_queue_depth: usize, result_queue_depth: usize) -> RuntimeStats {
@@ -123,15 +111,17 @@ impl StatsShared {
             .set(i64::try_from(job_queue_depth).unwrap_or(i64::MAX));
         self.result_queue_depth
             .set(i64::try_from(result_queue_depth).unwrap_or(i64::MAX));
-        let rings = self
+        let entries: Vec<LatencyEntry> = self
             .latencies
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .copied()
+            .collect();
         let latency = StageLatencies {
-            per_stage: std::array::from_fn(|i| LatencySummary::of(&rings.per_stage[i])),
-            total: LatencySummary::of(&rings.total),
+            per_stage: std::array::from_fn(|i| LatencySummary::of(&entries, |t| t.per_stage[i])),
+            total: LatencySummary::of(&entries, |t| t.total),
         };
-        drop(rings);
         RuntimeStats {
             chunks_in: self.chunks_in.get(),
             samples_in: self.samples_in.get(),
@@ -160,22 +150,32 @@ pub struct LatencySummary {
     pub p99: Duration,
     /// Worst recent latency.
     pub max: Duration,
+    /// The epoch at the p99 rank, as `(epoch seq, rate-class key)` — the
+    /// exact epoch whose latency `p99` reports (the rate-class key is the
+    /// first decoded stream's `rate_bps.to_bits()`, 0 when it decoded
+    /// none). `None` while the ring is empty.
+    pub p99_epoch: Option<(u64, u64)>,
 }
 
 impl LatencySummary {
-    /// Nearest-rank percentiles over the ring. Degenerate cases are
-    /// exact by construction: an empty ring is all-zero with `count == 0`
-    /// (distinguishable from a real zero-latency sample only by the
-    /// count), and a single sample reports that sample at every
-    /// percentile and as the max — including a saturated `u64::MAX`
-    /// nanosecond reading, which must survive unclipped.
-    fn of(ring: &VecDeque<u64>) -> Self {
-        if ring.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut v: Vec<u64> = ring.iter().copied().collect();
+    /// Nearest-rank percentiles of `pick(timings)` over the ring's
+    /// entries. Degenerate cases are exact by construction: an empty ring
+    /// is all-zero with `count == 0` (distinguishable from a real
+    /// zero-latency sample only by the count), and a single sample reports
+    /// that sample at every percentile and as the max — including a
+    /// saturated `u64::MAX` nanosecond reading, which must survive
+    /// unclipped. Equal latencies rank by seq, so the p99 epoch is
+    /// deterministic.
+    fn of(entries: &[LatencyEntry], pick: impl Fn(&StageTimings) -> Duration) -> Self {
+        let mut v: Vec<(u64, u64, u64)> = entries
+            .iter()
+            .map(|e| (nanos_of(pick(&e.timings)), e.seq, e.class))
+            .collect();
         v.sort_unstable();
-        let pick = |p: f64| -> Duration {
+        let Some(&(max, ..)) = v.last() else {
+            return LatencySummary::default();
+        };
+        let at = |p: f64| {
             // Nearest-rank percentile over the sorted ring. The clamp to
             // [1, len] keeps the rank exact at both tails (p→0 picks the
             // minimum, p→100 the maximum) for any ring length, including
@@ -183,14 +183,16 @@ impl LatencySummary {
             let rank = (p / 100.0 * v.len() as f64)
                 .ceil()
                 .clamp(1.0, v.len() as f64) as usize;
-            Duration::from_nanos(v[rank - 1])
+            v[rank - 1]
         };
+        let (p99, seq, class) = at(99.0);
         LatencySummary {
             count: v.len(),
-            p50: pick(50.0),
-            p90: pick(90.0),
-            p99: pick(99.0),
-            max: Duration::from_nanos(v[v.len() - 1]),
+            p50: Duration::from_nanos(at(50.0).0),
+            p90: Duration::from_nanos(at(90.0).0),
+            p99: Duration::from_nanos(p99),
+            max: Duration::from_nanos(max),
+            p99_epoch: Some((seq, class)),
         }
     }
 }
@@ -268,13 +270,30 @@ mod tests {
         }
     }
 
+    /// Ring entries whose total latency is `totals[k]` ns, seq `k`.
+    fn entries(totals: &[u64]) -> Vec<LatencyEntry> {
+        totals
+            .iter()
+            .zip(0u64..)
+            .map(|(&ns, seq)| LatencyEntry {
+                seq,
+                class: 0x5000 + seq,
+                timings: StageTimings {
+                    total: Duration::from_nanos(ns),
+                    ..StageTimings::default()
+                },
+            })
+            .collect()
+    }
+
+    fn total_summary(totals: &[u64]) -> LatencySummary {
+        LatencySummary::of(&entries(totals), |t| t.total)
+    }
+
     #[test]
     fn percentiles_over_known_ring() {
-        let mut ring = VecDeque::new();
-        for k in 1..=100u64 {
-            ring.push_back(k * 1000);
-        }
-        let s = LatencySummary::of(&ring);
+        let totals: Vec<u64> = (1..=100u64).map(|k| k * 1000).collect();
+        let s = total_summary(&totals);
         assert_eq!(s.count, 100);
         assert_eq!(s.p50, Duration::from_nanos(50_000));
         assert_eq!(s.p90, Duration::from_nanos(90_000));
@@ -283,33 +302,43 @@ mod tests {
     }
 
     #[test]
+    fn p99_epoch_is_the_entry_at_the_p99_rank() {
+        // 100 epochs in a scrambled latency order: the p99 rank is the
+        // 99th-smallest latency (99 µs), which epoch 78 carries.
+        let totals: Vec<u64> = (0..100u64).map(|k| (k * 41 % 100 + 1) * 1000).collect();
+        assert_eq!(totals[78], 99_000);
+        let s = total_summary(&totals);
+        assert_eq!(s.p99, Duration::from_nanos(99_000));
+        assert_eq!(s.p99_epoch, Some((78, 0x5000 + 78)));
+        // Ties rank by seq: the p99 of identical latencies is the
+        // 99th-ranked epoch, not whichever landed last.
+        let flat = total_summary(&[7_000; 100]);
+        assert_eq!(flat.p99_epoch, Some((98, 0x5000 + 98)));
+    }
+
+    #[test]
     fn empty_ring_is_zero() {
-        assert_eq!(
-            LatencySummary::of(&VecDeque::new()),
-            LatencySummary::default()
-        );
+        assert_eq!(total_summary(&[]), LatencySummary::default());
+        assert_eq!(total_summary(&[]).p99_epoch, None);
     }
 
     #[test]
     fn single_sample_is_exact_at_every_percentile() {
-        let mut ring = VecDeque::new();
-        ring.push_back(42_000u64);
-        let s = LatencySummary::of(&ring);
+        let s = total_summary(&[42_000]);
         assert_eq!(s.count, 1);
         let exact = Duration::from_nanos(42_000);
         assert_eq!(s.p50, exact);
         assert_eq!(s.p90, exact);
         assert_eq!(s.p99, exact);
         assert_eq!(s.max, exact);
+        assert_eq!(s.p99_epoch, Some((0, 0x5000)));
     }
 
     #[test]
     fn saturated_single_sample_survives_unclipped() {
         // A Duration too large for u64 nanoseconds saturates on record;
         // the summary must carry the sentinel through, not mangle it.
-        let mut ring = VecDeque::new();
-        ring.push_back(u64::MAX);
-        let s = LatencySummary::of(&ring);
+        let s = total_summary(&[u64::MAX]);
         assert_eq!(s.count, 1);
         assert_eq!(s.p50, Duration::from_nanos(u64::MAX));
         assert_eq!(s.p99, Duration::from_nanos(u64::MAX));
@@ -320,23 +349,27 @@ mod tests {
     fn ring_is_bounded() {
         let stats = StatsShared::default();
         let t = sample_timings();
-        for _ in 0..(LATENCY_RING + 50) {
-            stats.record_latency(&t, (0, 0));
+        for seq in 0..(LATENCY_RING as u64 + 50) {
+            stats.record_latency(seq, 0, &t);
         }
         let snap = stats.snapshot(0, 0);
         assert_eq!(snap.latency.total.count, LATENCY_RING);
         assert_eq!(snap.latency.total.p50, t.total);
+        // The 50 oldest epochs were evicted; equal latencies rank by seq.
+        let p99_rank = (LATENCY_RING * 99).div_ceil(100) as u64;
+        assert_eq!(snap.latency.total.p99_epoch, Some((50 + p99_rank - 1, 0)));
     }
 
     #[test]
     fn stage_summaries_follow_graph_order() {
         let stats = StatsShared::default();
         let t = sample_timings();
-        stats.record_latency(&t, (0, 0));
+        stats.record_latency(7, 0x40, &t);
         let snap = stats.snapshot(0, 0);
         for (i, (name, summary)) in snap.latency.iter().enumerate() {
             assert_eq!(summary.count, 1, "stage {name}");
             assert_eq!(summary.p50, t.per_stage[i], "stage {name}");
+            assert_eq!(summary.p99_epoch, Some((7, 0x40)), "stage {name}");
             assert_eq!(snap.latency.get(name), Some(summary));
         }
         assert_eq!(snap.latency.get("total"), None);
@@ -349,7 +382,7 @@ mod tests {
         let stats = StatsShared::new(&obs);
         stats.chunks_in.add(3);
         stats.epochs_in.inc();
-        stats.record_latency(&sample_timings(), (0, 0));
+        stats.record_latency(0, 0, &sample_timings());
         let _ = stats.snapshot(2, 1);
         let snap = obs.registry_snapshot();
         assert_eq!(
@@ -364,18 +397,14 @@ mod tests {
             snap.get("reader.job_queue_depth"),
             Some(&lf_obs::MetricValue::Gauge(2))
         );
-        // Every stage histogram is registered under its graph name.
-        for name in StageLatencies::names() {
-            let key = format!("reader.stage.{name}.ns");
-            let Some(lf_obs::MetricValue::Histogram(h)) = snap.get(&key) else {
-                panic!("missing stage histogram {key}");
-            };
-            assert_eq!(h.count, 1, "{key}");
-        }
-        let Some(lf_obs::MetricValue::Histogram(h)) = snap.get("reader.stage.total.ns") else {
-            panic!("missing total-latency histogram");
-        };
-        assert_eq!(h.count, 1);
+        // Stage latencies stay in the ring: the decoder's
+        // `pipeline.stage.*` histograms are the one registry family.
+        assert!(
+            snap.metrics
+                .iter()
+                .all(|m| !m.name.starts_with("reader.stage.")),
+            "the reader must not register a second stage-latency family"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end contract tests for the streaming runtime: determinism
-//! against the sequential reference, exact backpressure accounting under
-//! both policies, and worker panic containment.
+//! against the sequential reference, one stage clock feeding one latency
+//! family, exact backpressure accounting under both policies, and worker
+//! panic containment.
 
 // Shared fixture helpers sit outside any `#[test]` fn, where the
 // workspace unwrap gate would fire; a panic is the failure report here
@@ -8,6 +9,7 @@
 #![allow(clippy::unwrap_used)]
 
 use lf_core::pipeline::{Decoder, EpochDecode, StageTimings};
+use lf_obs::{MetricValue, ObsContext, RecordKind};
 use lf_reader::{
     sequential_decode, Backpressure, DiagSinks, EpochDecoder, EpochReport, EpochResult,
     ReaderRuntime, RuntimeConfig, ScenarioSource, SegmenterConfig, SliceSource, ThresholdPolicy,
@@ -99,6 +101,110 @@ fn parallel_pool_matches_sequential_decode() {
     assert_eq!(stats.latency.total.count, 4);
     assert!(stats.latency.total.p50 > Duration::ZERO);
     assert!(stats.latency.total.max >= stats.latency.total.p50);
+}
+
+/// One clock, one family: with an obs-enabled decoder sharing the
+/// runtime's context, each stage's latency is measured once per epoch by
+/// the graph runner and every view agrees with that measurement — the
+/// `pipeline.stage.*` histograms, the stage spans in the trace ring, the
+/// `StageTimings` on the reports, and the reader's latency ring. No second
+/// family (`reader.stage.*`, `span.pipeline.<stage>.ns`) is registered.
+#[test]
+fn stage_latency_has_one_clock_and_one_family() {
+    const N: u64 = 5;
+    let sc = four_tag_scenario();
+    let dec_cfg = sc.decoder_config();
+    let seg = SegmenterConfig::from_decoder(&dec_cfg);
+    // Big enough that no record of the run is overwritten.
+    let obs = ObsContext::with_ring_capacity(1 << 16);
+    let decoder = Arc::new(Decoder::with_obs(dec_cfg, obs.clone()));
+    let (src, _) = ScenarioSource::new(sc, N, 6_000, 4_096);
+    let cfg = RuntimeConfig {
+        workers: 2,
+        job_queue: 2,
+        result_queue: 2,
+        backpressure: Backpressure::Block,
+        segmenter: seg,
+        diag: DiagSinks::default(),
+    };
+    let mut rt = ReaderRuntime::spawn_with_obs(src, decoder, &cfg, obs.clone());
+    let reports = drain(&mut rt);
+    let stats = rt.join();
+    let delivered: Vec<(u64, u64, StageTimings)> = reports
+        .iter()
+        .map(|r| match &r.result {
+            EpochResult::Decoded { decode, timings } => {
+                let class = decode.streams.first().map_or(0, |s| s.rate_bps.to_bits());
+                (r.seq, class, *timings)
+            }
+            other => panic!("epoch {} not decoded: {other:?}", r.seq),
+        })
+        .collect();
+    assert_eq!(delivered.len() as u64, N);
+
+    // Stage slots in graph order, then the whole-epoch total (`None`).
+    let names = StageTimings::names();
+    let slots = || (0..names.len()).map(Some).chain([None]);
+    let name = |i: Option<usize>| i.map_or("total", |i| names[i]);
+    let took = |t: &StageTimings, i: Option<usize>| i.map_or(t.total, |i| t.per_stage[i]);
+    let reported_ns = |i: Option<usize>| -> u64 {
+        delivered
+            .iter()
+            .map(|(_, _, t)| u64::try_from(took(t, i).as_nanos()).unwrap())
+            .sum()
+    };
+
+    // The one registry family: count N per slot, summing to the reports.
+    let snap = obs.registry_snapshot();
+    for i in slots() {
+        let key = format!("pipeline.stage.{}.ns", name(i));
+        let Some(MetricValue::Histogram(h)) = snap.get(&key) else {
+            panic!("missing {key}");
+        };
+        assert_eq!(h.count, N, "{key}");
+        assert_eq!(h.sum, reported_ns(i), "{key} disagrees with the reports");
+        let span_key = format!("span.pipeline.{}.ns", name(i));
+        assert!(snap.get(&span_key).is_none(), "{span_key} is registered");
+    }
+    assert!(
+        snap.metrics
+            .iter()
+            .all(|m| !m.name.starts_with("reader.stage.")),
+        "the reader registered a second stage-latency family"
+    );
+
+    // The trace ring: each slot's span exits (one per execution,
+    // re-entries included) sum to the timings the reports carried.
+    let trace = obs.recent_trace();
+    assert_eq!(trace.first().map(|r| r.seq), Some(0), "trace ring wrapped");
+    for i in slots() {
+        let path = match i {
+            Some(_) => format!("pipeline.total.pipeline.{}", name(i)),
+            None => "pipeline.total".to_owned(),
+        };
+        let span_ns: u64 = trace
+            .iter()
+            .filter(|r| r.path == path)
+            .filter_map(|r| match r.kind {
+                RecordKind::SpanExit { dur_ns } => Some(dur_ns),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(span_ns, reported_ns(i), "{path} spans");
+    }
+
+    // The reader's ring names the exact epoch at each p99 rank.
+    for i in slots() {
+        let summary = i.map_or(stats.latency.total, |i| stats.latency.per_stage[i]);
+        assert_eq!(summary.count as u64, N);
+        let (seq, class) = summary.p99_epoch.expect("p99 epoch");
+        let (_, want_class, t) = delivered
+            .iter()
+            .find(|(s, ..)| *s == seq)
+            .expect("the p99 epoch was delivered");
+        assert_eq!(summary.p99, took(t, i), "{} p99 epoch {seq}", name(i));
+        assert_eq!(class, *want_class, "{} p99 epoch {seq}", name(i));
+    }
 }
 
 // --- synthetic fixtures for the policy/containment tests -----------------

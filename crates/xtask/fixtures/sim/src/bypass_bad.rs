@@ -1,6 +1,6 @@
 // Fixture for tests/meta.rs: library code outside lf-core calling the
 // decode pipeline's stage internals directly instead of going through
-// the Decoder/PipelineGraph facade. Never compiled.
+// the Decoder facade. Never compiled.
 
 fn hand_rolled_pipeline(signal: &[Complex], cfg: &DecoderConfig) -> usize {
     let edges = detect_edges(signal, cfg);

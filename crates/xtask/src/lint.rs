@@ -35,9 +35,8 @@
 //! * [`Rule::NoStageBypass`] — library code outside `lf-core` never calls
 //!   the decode pipeline's stage internals (`detect_edges`,
 //!   `find_streams`, `slot_differentials`, `analyze_slots`,
-//!   `decode_single`, …) directly. The stage graph
-//!   (`lf_core::graph::PipelineGraph`, behind the `Decoder` facade) is
-//!   the only sanctioned composition: it owns stage ordering, re-entry,
+//!   `decode_single`, …) directly. The stage graph (`lf_core::graph`,
+//!   behind the `Decoder` facade) is the only sanctioned composition: it owns stage ordering, re-entry,
 //!   and the single instrumentation point, so a hand-rolled pipeline
 //!   silently loses provenance, spans, and the sub-harmonic carve.
 //!   Binaries, examples, and benches own their own experiments and are
@@ -58,8 +57,7 @@
 //!   interleaving with a host application's output. Binaries, examples,
 //!   and test code are exempt: they own their stdout.
 //! * [`Rule::LockOrdering`] — the workspace's ranked mutexes are acquired
-//!   outermost-first: `state → truths → metrics → scratch → latencies →
-//!   slots`. Within one function, textually acquiring a lower-ranked
+//!   outermost-first: `state → truths → metrics → latencies → slots`. Within one function, textually acquiring a lower-ranked
 //!   (more outer) lock after a higher-ranked one is the shape every
 //!   lock-order deadlock starts as; the `lf-check` model harness proves
 //!   the inversion deadlocks (`reports_lock_inversion_as_deadlock`), this
@@ -208,8 +206,10 @@ impl fmt::Display for Finding {
 /// model harness (its scheduler and sync shims *are* the verification
 /// tooling: the shims relay `wait` without a loop by design — the caller
 /// owns the predicate loop — and its internals synchronize the model
-/// itself), and test/bench trees (test code is exempt by policy,
-/// matching `clippy.toml`).
+/// itself), and test/bench trees (test and bench code is exempt by
+/// policy, matching `clippy.toml`). `e2ebench` is the end-to-end
+/// benchmark: a bench tree that is also its own cargo workspace, which
+/// the workspace clippy and fmt gates never build either.
 const SKIP_DIRS: &[&str] = &[
     "target",
     "xtask",
@@ -219,6 +219,7 @@ const SKIP_DIRS: &[&str] = &[
     "check",
     "tests",
     "benches",
+    "e2ebench",
 ];
 
 /// Lints every production `.rs` file under `root`. `root` is usually the
@@ -419,8 +420,8 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                     rule: Rule::NoStageBypass,
                     message: format!(
                         "`{}` is a decode-stage internal; compose stages \
-                         through `Decoder`/`PipelineGraph` so ordering, \
-                         re-entry, and provenance are owned by the graph",
+                         through `Decoder` so ordering, re-entry, and \
+                         provenance are owned by the stage graph",
                         what.trim_end_matches('(')
                     ),
                 });
@@ -739,14 +740,7 @@ fn is_fn_decl(trimmed: &str) -> bool {
 /// The workspace's ranked mutexes, outermost first. A function acquiring
 /// two of these must take the lower index first. Unranked locks (local
 /// test mutexes, shim internals) are outside the discipline.
-const LOCK_RANKS: &[&str] = &[
-    "state",
-    "truths",
-    "metrics",
-    "scratch",
-    "latencies",
-    "slots",
-];
+const LOCK_RANKS: &[&str] = &["state", "truths", "metrics", "latencies", "slots"];
 
 /// The rank of the field a `.lock()` call on this line acquires, if the
 /// field is ranked. Handles rustfmt's split chains: when `.lock()` opens
@@ -851,7 +845,7 @@ fn condvar_wait_outside_loop(lines: &[&str], idx: usize) -> bool {
 /// Identifier stems that mark a `let _ =` right-hand side as producing a
 /// decode or frame value — the quantities the delivery ledger accounts
 /// for. Each identifier token on the right-hand side is checked for a
-/// stem case-insensitively (`decode`, `decoder.decode_timed`,
+/// stem case-insensitively (`decode`, `decoder.decode_timed_with`,
 /// `EpochDecode`, `recv`, `try_recv`, `frames`), so a drop of any of
 /// them fires while `EpochReport` tombstones, `join()` handles, and
 /// `flight.trigger(…)` stay silent.
@@ -1059,15 +1053,16 @@ mod tests {
 
     #[test]
     fn locked_rank_handles_split_chains() {
+        let rank = |name: &str| Some(LOCK_RANKS.iter().position(|&r| r == name).unwrap());
         // Same-line lock.
         let lines = ["let st = recover(self.state.lock());"];
-        assert_eq!(locked_rank(lines[0], 0, &lines), Some(0));
+        assert_eq!(locked_rank(lines[0], 0, &lines), rank("state"));
         // rustfmt-split chain: `.lock()` opens the line, field above.
         let lines = ["let mut rings = self", "    .latencies", "    .lock()"];
-        assert_eq!(locked_rank(lines[2], 2, &lines), Some(4));
+        assert_eq!(locked_rank(lines[2], 2, &lines), rank("latencies"));
         // Indexed field above.
         let lines = ["let mut slot = self.slots[idx]", "    .lock()"];
-        assert_eq!(locked_rank(lines[1], 1, &lines), Some(5));
+        assert_eq!(locked_rank(lines[1], 1, &lines), rank("slots"));
         // Unranked locals stay outside the discipline.
         let lines = ["let g = my_mutex.lock();"];
         assert_eq!(locked_rank(lines[0], 0, &lines), None);
@@ -1144,7 +1139,9 @@ mod tests {
     #[test]
     fn unattributed_drop_probe() {
         assert!(has_unattributed_drop("let _ = decoder.decode(&signal);"));
-        assert!(has_unattributed_drop("let _ = self.decode_timed(&sig);"));
+        assert!(has_unattributed_drop(
+            "let _ = self.decode_timed_with(&sig, &mut s);"
+        ));
         assert!(has_unattributed_drop("let _ = sub.recv();"));
         assert!(has_unattributed_drop("let _ = results.try_recv();"));
         assert!(has_unattributed_drop("let _ = frames.pop();"));
