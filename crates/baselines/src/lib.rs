@@ -20,7 +20,7 @@
 //!   motivation for LF's time-domain first stage.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod ask;
 pub mod buzz;

@@ -1,8 +1,8 @@
-//! Criterion benches of the SoA/SIMD hot kernels and the batched
-//! multi-period fold at ci-scenario sizes (60 k samples, 8 tags, ~26
-//! tracked streams, hundreds of edges per epoch).
+//! Criterion benches of the SoA/SIMD nearest-centroid kernel and the
+//! batched multi-period fold at ci-scenario sizes (60 k samples, 8 tags,
+//! ~26 tracked streams, hundreds of edges per epoch).
 //!
-//! Each kernel is swept twice — scalar fallback vs the runtime-dispatched
+//! The kernel is swept twice — scalar fallback vs the runtime-dispatched
 //! backend (`set_scalar_override`) — so the vector speedup stays visible
 //! as its own number instead of being folded into the whole-pipeline
 //! medians. The fold sweep compares k repeated single-period folds
@@ -14,11 +14,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lf_bench::standard_fixture;
 use lf_core::config::DecoderConfig;
-use lf_core::edges::{detect_edges, PrefixSums};
+use lf_core::edges::detect_edges;
 use lf_dsp::fold::{FoldSpec, FoldTable, FoldedHistogram};
-use lf_dsp::simd::{
-    diff_msq_into, first_at_or_above, nearest_centroid_into, set_scalar_override, sqrt_abs_dev_into,
-};
+use lf_dsp::simd::{nearest_centroid_into, set_scalar_override};
 use lf_sim::experiments::Scale;
 use std::hint::black_box;
 
@@ -36,51 +34,6 @@ fn sweep_backends(c: &mut Criterion, name: &str, mut f: impl FnMut()) {
         c.bench_function(&format!("{name}_{suffix}"), |b| b.iter(&mut f));
     }
     set_scalar_override(false);
-}
-
-/// The squared-magnitude differential series over a full 60 k epoch —
-/// edge detection's O(samples) kernel.
-fn bench_diff_msq(c: &mut Criterion) {
-    let fix = standard_fixture(Scale::Quick, 8, 1);
-    let cfg = decoder_cfg(&fix);
-    let sums = PrefixSums::new(&fix.signal);
-    let (re, im) = sums.channels();
-    let w = cfg.edge_width.round().max(1.0) as usize;
-    let mut out = Vec::new();
-    sweep_backends(c, "fold_kernels_diff_msq_60k", || {
-        diff_msq_into(black_box(re), black_box(im), w, w, &mut out);
-    });
-}
-
-/// The sqrt-deviation rewrite and the sub-threshold skip scan over the
-/// epoch's msq series — the robust-threshold/peak-scan kernels.
-fn bench_threshold_kernels(c: &mut Criterion) {
-    let fix = standard_fixture(Scale::Quick, 8, 1);
-    let cfg = decoder_cfg(&fix);
-    let sums = PrefixSums::new(&fix.signal);
-    let (re, im) = sums.channels();
-    let w = cfg.edge_width.round().max(1.0) as usize;
-    let mut msq = Vec::new();
-    diff_msq_into(re, im, w, w, &mut msq);
-    let med = 0.5 * msq.iter().fold(0.0f64, |a, &b| a.max(b));
-    let mut dev = Vec::new();
-    sweep_backends(c, "fold_kernels_sqrt_abs_dev_60k", || {
-        sqrt_abs_dev_into(black_box(&msq), med, &mut dev);
-    });
-    let cutoff = 4.0 * med;
-    sweep_backends(c, "fold_kernels_first_at_or_above_60k", || {
-        let mut i = 0usize;
-        let mut hits = 0usize;
-        while i < msq.len() {
-            i = first_at_or_above(black_box(&msq), i, cutoff);
-            if i >= msq.len() {
-                break;
-            }
-            hits += 1;
-            i += 1;
-        }
-        black_box(hits);
-    });
 }
 
 /// Nearest-centroid assignment at separation-stage size: every slot
@@ -147,11 +100,5 @@ fn bench_batched_fold(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_diff_msq,
-    bench_threshold_kernels,
-    bench_nearest_centroid,
-    bench_batched_fold
-);
+criterion_group!(benches, bench_nearest_centroid, bench_batched_fold);
 criterion_main!(benches);

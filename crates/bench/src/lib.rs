@@ -17,7 +17,7 @@
 //! This crate holds shared fixture builders used by both benches.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 use lf_core::config::DecodeStages;
 use lf_sim::experiments::common::{standard_scenario, ThroughputParams};

@@ -17,7 +17,7 @@
 //!   combination, plus finite edge rise times).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod air;
 pub mod coeff;

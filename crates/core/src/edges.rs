@@ -40,9 +40,10 @@ pub struct EdgeEvent {
 /// rule enforces that discipline: production code may not call
 /// [`PrefixSums::new`] outside the epoch-context setup.
 /// The table is stored as a split [`IqBuffer`] (structure-of-arrays): the
-/// SIMD kernels in `lf_dsp::simd` read the two prefix channels with plain
-/// contiguous loads. Componentwise accumulation makes the split layout
-/// bitwise identical to the old `Vec<Complex>` table (DESIGN.md §15).
+/// differential loop of [`detect_edges`] reads the two prefix channels
+/// with plain contiguous loads. Componentwise accumulation makes the
+/// split layout bitwise identical to the old `Vec<Complex>` table
+/// (DESIGN.md §15).
 #[derive(Debug, Clone)]
 pub struct PrefixSums {
     sums: IqBuffer,
@@ -97,7 +98,7 @@ impl PrefixSums {
     }
 
     /// The split prefix channels (length `n_samples() + 1`, leading zero),
-    /// for the SoA kernels in `lf_dsp::simd`.
+    /// for structure-of-arrays loops.
     pub fn channels(&self) -> (&[f64], &[f64]) {
         self.sums.channels()
     }
@@ -177,7 +178,7 @@ pub(crate) fn detect_edges_with(
     // size of the environment reflection.
     let guard = (cfg.edge_width / 2.0).ceil();
     let (pre, pim) = sums.channels();
-    lf_dsp::simd::diff_msq_into(pre, pim, guard as usize, cfg.detect_window, msq);
+    diff_msq_into(pre, pim, guard as usize, cfg.detect_window, msq);
     // Two-part threshold: the robust (median + k·MAD) floor handles noisy
     // captures; the relative floor handles nearly noise-free ones, where
     // MAD collapses to ~0 and floating-point dust would otherwise read as
@@ -214,6 +215,43 @@ pub(crate) fn detect_edges_with(
         .collect()
 }
 
+/// The squared-magnitude differential series of edge detection (§3.1).
+///
+/// `re`/`im` are the split *prefix-sum* arrays of one epoch (length
+/// `n + 1`, leading zero). For every sample `t` in
+/// `[guard + window, n - guard - window)` this computes the windowed-mean
+/// IQ differential across `t` and writes its squared magnitude to
+/// `out[t]`; samples inside the margins get `0.0` (their averaging windows
+/// would clamp and the "differential" would be the raw reflection level).
+///
+/// Bitwise identical to `differential_at(sums, t, guard, window)
+/// .norm_sqr()`: the same subtractions and the same `1/w` scaling, in the
+/// same order, over the same prefix sums.
+fn diff_msq_into(re: &[f64], im: &[f64], guard: usize, window: usize, out: &mut Vec<f64>) {
+    assert_eq!(re.len(), im.len(), "re/im prefix length mismatch");
+    assert!(window > 0, "window must be positive");
+    let n = re.len().saturating_sub(1);
+    out.clear();
+    out.resize(n, 0.0);
+    let (g, w) = (guard, window);
+    let lo = g + w;
+    let Some(hi) = n.checked_sub(lo) else {
+        return;
+    };
+    let inv = 1.0 / w as f64;
+    // hot-kernel begin (no-aos-hotloop: SoA slices only in this region)
+    for t in lo..hi {
+        let a_re = (re[t + g + w] - re[t + g]) * inv;
+        let a_im = (im[t + g + w] - im[t + g]) * inv;
+        let b_re = (re[t - g] - re[t - g - w]) * inv;
+        let b_im = (im[t - g] - im[t - g - w]) * inv;
+        let d_re = a_re - b_re;
+        let d_im = a_im - b_im;
+        out[t] = d_re * d_re + d_im * d_im;
+    }
+    // hot-kernel end
+}
+
 /// `median + k·MAD·1.4826` of the element-wise square roots of `msq`,
 /// without materializing the sqrt series: the median of `sqrt(x)` is the
 /// sqrt of the median of `x` (order statistics commute with monotone
@@ -242,7 +280,8 @@ fn robust_threshold_of_sqrt(msq: &[f64], select: &mut Vec<f64>, k: f64) -> f64 {
             0.5 * (lo + hi)
         }
     };
-    lf_dsp::simd::sqrt_abs_dev_into(msq, med, select);
+    select.clear();
+    select.extend(msq.iter().map(|&v| (v.sqrt() - med).abs()));
     let mad = median_inplace(select);
     med + k * mad * 1.4826
 }
@@ -434,6 +473,47 @@ mod tests {
         }
         assert_eq!(sqrt_cutoff(0.0).to_bits(), 0);
         assert_eq!(sqrt_cutoff(-1.0).to_bits(), 0);
+    }
+
+    /// The differential kernel zeroes both margins and, inside them,
+    /// matches the `PrefixSums::mean` spelling of the differential bit for
+    /// bit.
+    #[test]
+    fn diff_msq_margins_are_zero_and_interior_matches_differential_at() {
+        let mut st = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut noise = || {
+            st ^= st << 13;
+            st ^= st >> 7;
+            st ^= st << 17;
+            (st >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
+        };
+        let n = 300;
+        let sig: Vec<Complex> = (0..n).map(|_| Complex::new(noise(), noise())).collect();
+        let sums = PrefixSums::new(&sig);
+        let (re, im) = sums.channels();
+        let (g, w) = (2usize, 4usize);
+        let mut got = Vec::new();
+        diff_msq_into(re, im, g, w, &mut got);
+        assert_eq!(got.len(), n);
+        for t in 0..(g + w) {
+            assert_eq!(got[t].to_bits(), 0);
+            assert_eq!(got[n - 1 - t].to_bits(), 0);
+        }
+        for (t, v) in got.iter().enumerate().take(n - g - w).skip(g + w) {
+            let want = differential_at(&sums, t as f64, g as f64, w).norm_sqr();
+            assert_eq!(v.to_bits(), want.to_bits(), "t={t}");
+        }
+    }
+
+    #[test]
+    fn diff_msq_handles_degenerate_sizes() {
+        let mut out = Vec::new();
+        diff_msq_into(&[0.0], &[0.0], 3, 5, &mut out);
+        assert!(out.is_empty());
+        // Margin swallows the whole series: all zeros.
+        let re = vec![0.0; 9];
+        diff_msq_into(&re, &re, 3, 5, &mut out);
+        assert_eq!(out, vec![0.0; 8]);
     }
 
     /// The scratch-threaded squared-domain path must return exactly what

@@ -35,12 +35,11 @@
 //! [`lf-tag`]: ../lf_tag/index.html
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod config;
 pub mod decode;
 pub mod edges;
-pub mod epoch;
 pub mod graph;
 pub mod pipeline;
 pub mod provenance;
@@ -51,7 +50,6 @@ pub mod slots;
 pub mod streams;
 
 pub use config::{DecodeStages, DecoderConfig};
-pub use epoch::{decode_session, split_epochs, SessionEpoch};
 pub use graph::STAGE_COUNT;
 pub use pipeline::{DecodedStream, Decoder, EpochDecode, StageTimings, StreamKind};
 pub use provenance::{

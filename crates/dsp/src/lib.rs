@@ -24,18 +24,17 @@
 //! * [`crc`] — CRC-5 (EPC Gen 2 inventory frames) and CRC-16/CCITT.
 //! * [`linalg`] — small dense real matrices and least squares, used by the
 //!   Buzz baseline's linear signal separation (Eq. 1).
-//! * [`window`] — moving averages and boxcar smoothing.
 //! * [`checks`] — NaN/∞ taint guards the pipeline wires at every stage
 //!   boundary under the `strict-checks` feature (no-ops otherwise).
-//! * [`simd`] — runtime-dispatched AVX-512 hot kernels over
-//!   structure-of-arrays slices, with bit-identical scalar fallbacks
-//!   (DESIGN.md §15).
+//! * [`simd`] — the runtime-dispatched AVX-512 nearest-centroid kernel
+//!   over structure-of-arrays slices, with a bit-identical scalar
+//!   fallback (DESIGN.md §15).
 
 // `deny`, not `forbid`: the `simd` module opts back in locally for the
 // vendor intrinsics behind its runtime feature detection; everything else
 // in the crate stays safe code.
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod checks;
 pub mod crc;
@@ -47,7 +46,6 @@ pub mod peaks;
 pub mod simd;
 pub mod stats;
 pub mod viterbi;
-pub mod window;
 
 pub use kmeans::{kmeans, select_cluster_count, KMeansResult};
 pub use viterbi::{EdgeState, ViterbiDecoder};

@@ -23,23 +23,18 @@ pub fn find_peaks(series: &[f64], threshold: f64, min_distance: usize) -> Vec<Pe
     if n == 0 {
         return Vec::new();
     }
-    // Collect strict-or-plateau local maxima above threshold. The skip
-    // scan vaults over sub-threshold runs (most of a quiet capture) with
-    // the SIMD compare kernel; its stop predicate `!(v < threshold)` is
-    // exactly the complement of the branch it replaces, NaN included.
+    // Collect strict-or-plateau local maxima above threshold.
     let mut candidates: Vec<Peak> = Vec::new();
     let mut i = 0;
     while i < n {
-        // Only dispatch the skip kernel when the current sample is below
-        // threshold: `first_at_or_above` returns `i` unchanged whenever
-        // `series[i] >= threshold` (its stop predicate holds immediately),
-        // so the guard is exact and saves a per-sample dispatch during
-        // dense above-threshold runs.
-        if series[i] < threshold {
-            i = crate::simd::first_at_or_above(series, i, threshold);
-            if i >= n {
-                break;
-            }
+        // Skip the sub-threshold run (most of a quiet capture). The scan
+        // stops on `!(v < threshold)`, so a NaN ends the skip and goes
+        // through the local-maximum test below like any candidate.
+        while i < n && series[i] < threshold {
+            i += 1;
+        }
+        if i >= n {
+            break;
         }
         let v = series[i];
         // Plateau handling: advance to the end of a run of equal values and
@@ -174,6 +169,37 @@ mod tests {
     #[test]
     fn empty_series() {
         assert!(find_peaks(&[], 0.0, 1).is_empty());
+    }
+
+    fn peak_indices(series: &[f64], threshold: f64) -> Vec<usize> {
+        find_peaks(series, threshold, 1)
+            .iter()
+            .map(|p| p.index)
+            .collect()
+    }
+
+    /// The skip scan runs off the end of an all-quiet series or tail
+    /// without reporting anything past the last real peak.
+    #[test]
+    fn skip_scan_runs_off_quiet_tails() {
+        assert!(peak_indices(&[0.1; 40], 1.0).is_empty());
+        let mut s = vec![0.0; 40];
+        s[3] = 2.0;
+        assert_eq!(peak_indices(&s, 1.0), vec![3]);
+        assert_eq!(peak_indices(&[1.0], 0.0), vec![0]);
+    }
+
+    /// A NaN in a quiet run is never reported and does not hide a later
+    /// peak: `NaN < threshold` is false, so the skip scan stops at it,
+    /// its neighbour comparisons reject it, and the scan resumes.
+    #[test]
+    fn skip_scan_stops_at_nan_without_reporting_it() {
+        let mut s = vec![0.0; 40];
+        s[17] = f64::NAN;
+        s[30] = 2.0;
+        assert_eq!(peak_indices(&s, 1.0), vec![30]);
+        s[17] = 2.0;
+        assert_eq!(peak_indices(&s, 1.0), vec![17, 30]);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Bit-identity pinning of the SoA/SIMD hot kernels against their scalar
-//! references, in the style of `hotpath_equivalence`.
+//! Bit-identity pinning of the SoA/SIMD hot kernel against its scalar
+//! reference, in the style of `hotpath_equivalence`.
 //!
-//! Every kernel in `lf_dsp::simd` carries the contract that the
+//! The kernel in `lf_dsp::simd` carries the contract that the
 //! runtime-dispatched backend is *bitwise* identical to the scalar
-//! spelling — the golden decode digest depends on it. These proptests
-//! drive each kernel over randomized inputs twice, once with
-//! `set_scalar_override(true)` and once dispatched, and compare outputs
+//! spelling — the golden decode digest depends on it. The proptest
+//! drives it over randomized inputs twice, once with
+//! `set_scalar_override(true)` and once dispatched, and compares outputs
 //! by exact bit pattern (`to_bits`), not tolerance. The batched
 //! multi-period fold is pinned the same way against repeated
 //! single-period folds.
@@ -13,9 +13,7 @@
 use std::sync::Mutex;
 
 use lf_dsp::fold::{FoldSpec, FoldTable, FoldedHistogram};
-use lf_dsp::simd::{
-    diff_msq_into, first_at_or_above, nearest_centroid_into, set_scalar_override, sqrt_abs_dev_into,
-};
+use lf_dsp::simd::{nearest_centroid_into, set_scalar_override};
 use proptest::prelude::*;
 
 /// The scalar override is process-global: without serialization, a
@@ -43,60 +41,6 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The windowed IQ differential over arbitrary prefix-sum channels:
-    /// every produced squared magnitude matches the scalar reference bit
-    /// for bit, margins included.
-    #[test]
-    fn diff_msq_bit_identical(
-        chans in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 2..300),
-        guard in 0usize..4,
-        window in 1usize..8,
-    ) {
-        let re: Vec<f64> = chans.iter().map(|c| c.0).collect();
-        let im: Vec<f64> = chans.iter().map(|c| c.1).collect();
-        let (scalar, dispatched) = on_both_backends(|| {
-            let mut out = Vec::new();
-            diff_msq_into(&re, &im, guard, window, &mut out);
-            out
-        });
-        prop_assert_eq!(bits(&scalar), bits(&dispatched));
-    }
-
-    /// The sqrt-deviation rewrite: IEEE sqrt is correctly rounded and abs
-    /// clears the sign bit, so lanes and scalars must agree exactly.
-    /// Inputs stay non-negative as real msq values are (sums of squares).
-    #[test]
-    fn sqrt_abs_dev_bit_identical(
-        msq in proptest::collection::vec(0.0f64..1e9, 0..300),
-        med in -1e3f64..1e3,
-    ) {
-        let (scalar, dispatched) = on_both_backends(|| {
-            let mut out = Vec::new();
-            sqrt_abs_dev_into(&msq, med, &mut out);
-            out
-        });
-        prop_assert_eq!(bits(&scalar), bits(&dispatched));
-    }
-
-    /// The sub-threshold skip scan returns the same index from every
-    /// starting point, including past-the-end starts and NaN stops
-    /// (`!(NaN < cutoff)` halts both spellings at the NaN).
-    #[test]
-    fn first_at_or_above_bit_identical(
-        raw in proptest::collection::vec((-1e3f64..1e3, 0u32..10), 0..300),
-        from in 0usize..310,
-        cutoff in -1e3f64..1e3,
-    ) {
-        // ~10 % of samples become NaN to exercise the unordered stop.
-        let series: Vec<f64> = raw
-            .iter()
-            .map(|&(v, tag)| if tag == 0 { f64::NAN } else { v })
-            .collect();
-        let (scalar, dispatched) =
-            on_both_backends(|| first_at_or_above(&series, from, cutoff));
-        prop_assert_eq!(scalar, dispatched);
-    }
 
     /// Nearest-centroid assignment: first-minimum index and exact squared
     /// distance agree between backends for every point, including ties

@@ -66,7 +66,7 @@
 //! assert!(report.stats.duplicates_suppressed > 0, "3 readers overlap");
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 

@@ -45,6 +45,8 @@
 //! print!("{}", snap.to_prometheus());
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod chrome;
 pub mod context;
 pub mod flight;

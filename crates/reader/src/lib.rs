@@ -9,7 +9,7 @@
 //! * [`IqSource`] — chunked sample input ([`SliceSource`], [`FileSource`],
 //!   sim-backed [`ScenarioSource`]).
 //! * [`OnlineSegmenter`] — chunk-size-invariant carrier-gap epoch
-//!   segmentation, mirroring `lf_core::epoch::split_epochs` thresholds.
+//!   segmentation, the workspace's one segmenter.
 //! * [`ReaderRuntime`] — an ingest thread feeding a bounded job queue, a
 //!   `std::thread` decode pool with panic containment, and in-order
 //!   report delivery; explicit [`Backpressure`] policy (lossless block
@@ -34,6 +34,8 @@
 //!     }
 //! }
 //! ```
+
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod queue;
 pub mod runtime;

@@ -5,7 +5,7 @@
 //! arbitrarily far behind the air interface and then dies of memory
 //! instead of shedding load. `std::sync::mpsc::channel` is unbounded (and
 //! single-consumer), so the runtime uses this queue everywhere — the
-//! `cargo xtask lint` rule `no-unbounded-channel` keeps it that way.
+//! `disallowed-methods` entry for it in `clippy.toml` keeps it that way.
 //!
 //! Two produce disciplines implement the two backpressure policies:
 //! [`BoundedQueue::push_block`] (lossless, producer waits) and

@@ -21,7 +21,7 @@
 //!   and a `paper` scale (the numbers EXPERIMENTS.md reports).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod experiments;
 pub mod multi;

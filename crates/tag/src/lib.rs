@@ -21,7 +21,7 @@
 //!   Fig. 13's energy-efficiency comparison.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod clock;
 pub mod comparator;

@@ -4,9 +4,10 @@
 //! memory-bound: an array-of-structs `&[Complex]` interleaves I and Q, so
 //! an 8-lane SIMD load of eight consecutive `re` components would need a
 //! gather. [`IqBuffer`] keeps the two channels in separate contiguous
-//! `Vec<f64>`s so the vector kernels in `lf-dsp` can issue plain unaligned
-//! loads. The split view is built once per epoch (alongside the prefix-sum
-//! table, pooled in the decoder's scratch) and borrowed everywhere below —
+//! `Vec<f64>`s so hot loops (the edge differential in `lf-core`, the
+//! nearest-centroid kernel in `lf-dsp`) can issue plain unaligned loads.
+//! The split view is built once per epoch (alongside the prefix-sum
+//! table, held in the decoder's scratch) and borrowed everywhere below —
 //! see DESIGN.md §15 for the layout discipline and the `no-aos-hotloop`
 //! lint that keeps per-sample `Complex` field access out of the designated
 //! kernels.

@@ -10,7 +10,7 @@
 //!   Getting sample↔time conversions wrong is the classic SDR bug, so they
 //!   are centralized here and property-tested.
 //! * [`iq`] — structure-of-arrays IQ storage ([`IqBuffer`]): the split
-//!   `re`/`im` layout the SIMD hot kernels in `lf-dsp` load from
+//!   `re`/`im` layout the hot loops in `lf-core` and `lf-dsp` load from
 //!   (DESIGN.md §15).
 //! * [`bits`] — a small bit-vector with the conversions framing needs.
 //! * [`rate`] — bitrates restricted to multiples of a base rate (§3.2 imposes
@@ -20,7 +20,7 @@
 //! * [`error`] — the workspace error type.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bits;
 pub mod complex;

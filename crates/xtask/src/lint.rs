@@ -1,9 +1,18 @@
 //! The domain-invariant linter behind `cargo xtask lint`.
 //!
-//! Clippy's workspace gates (see the root `Cargo.toml`) catch the generic
-//! hazards — `unwrap`, `panic!`, raw float `==`. The rules here encode
-//! invariants specific to this codebase that no general-purpose lint can
-//! express:
+//! Compiler lints catch the generic hazards, and CI runs clippy with
+//! `-D warnings`, so each of them is a build error:
+//!
+//! * the root `Cargo.toml`'s `[workspace.lints.clippy]` denies `unwrap`,
+//!   `expect`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` and raw
+//!   float `==`;
+//! * the library crate roots warn on `missing_docs` (lf-core and lf-dsp
+//!   among them) and on `clippy::print_stdout` / `clippy::print_stderr`
+//!   (diagnostics go through `lf_obs::event!`);
+//! * `clippy.toml` disallows the unbounded `std::sync::mpsc::channel`.
+//!
+//! The rules here encode invariants specific to this codebase that no
+//! general-purpose lint can express:
 //!
 //! * [`Rule::FloatOrdering`] — ordering or equality of IQ magnitudes and
 //!   other floats must go through `f64::total_cmp`, never `partial_cmp`
@@ -16,22 +25,6 @@
 //!   zero, which silently biases edge positions by up to one sample —
 //!   exactly the error margin the tracker's residual test depends on.
 //!   The sanctioned conversion helpers live in `lf-types`.
-//! * [`Rule::CorePanicPath`] — nothing reachable from `lf_core`'s decode
-//!   pipeline may contain a panicking escape hatch (`unwrap`, `expect`,
-//!   `panic!`, `unreachable!`, `todo!`, `unimplemented!`). The pipeline is
-//!   exposed to raw RF captures; it must degrade, not abort. (`assert!` of
-//!   a caller contract is permitted: that is a documented API precondition,
-//!   not a decode-path failure.)
-//! * [`Rule::MissingDocs`] — every `pub fn` in `lf-core` and `lf-dsp`
-//!   carries a doc comment. These two crates are the reference
-//!   implementation of the paper's algorithms; an undocumented public
-//!   entry point defeats the purpose.
-//! * [`Rule::UnboundedChannel`] — production code never creates a bare
-//!   `std::sync::mpsc::channel()`. Its buffer is unbounded, so a stage
-//!   that outpaces its consumer grows memory without limit — the exact
-//!   failure the streaming runtime's `BoundedQueue` (and its explicit
-//!   backpressure policy) exists to prevent. `mpsc::sync_channel` and
-//!   `lf_reader::BoundedQueue` are the sanctioned alternatives.
 //! * [`Rule::NoStageBypass`] — library code outside `lf-core` never calls
 //!   the decode pipeline's stage internals (`detect_edges`,
 //!   `find_streams`, `slot_differentials`, `analyze_slots`,
@@ -49,13 +42,6 @@
 //!   its own re-scans the whole epoch and silently reintroduces the
 //!   O(streams × samples) cost the hot-path overhaul removed. One-shot
 //!   entry points and stage-isolation experiments carry explicit waivers.
-//! * [`Rule::NoPrintlnInCrates`] — library crates never write to
-//!   stdout/stderr with `println!`/`eprintln!` (or their non-newline
-//!   forms). Diagnostics go through `lf_obs::event!`, which lands in the
-//!   installed context's trace ring and metrics — attributable,
-//!   rate-bounded, and silent when no context is installed — instead of
-//!   interleaving with a host application's output. Binaries, examples,
-//!   and test code are exempt: they own their stdout.
 //! * [`Rule::LockOrdering`] — the workspace's ranked mutexes are acquired
 //!   outermost-first: `state → truths → metrics → latencies → slots`. Within one function, textually acquiring a lower-ranked
 //!   (more outer) lock after a higher-ranked one is the shape every
@@ -94,8 +80,8 @@
 //! * [`Rule::NoAosHotloop`] — inside a designated hot-kernel region
 //!   (delimited by `// hot-kernel begin` / `// hot-kernel end` marker
 //!   comments), per-sample `Complex` values are banned: no `Complex` type
-//!   mentions and no `.re`/`.im` field access. The SIMD kernels read
-//!   split structure-of-arrays slices (separate `re`/`im` arrays, see
+//!   mentions and no `.re`/`.im` field access. Hot loops read split
+//!   structure-of-arrays slices (separate `re`/`im` arrays, see
 //!   DESIGN.md §15) so vector loads stay contiguous; one interleaved
 //!   access quietly reintroduces the gather the layout work removed.
 //!   Cold preambles inside a region carry explicit waivers.
@@ -124,14 +110,6 @@ pub enum Rule {
     /// Bare truncating cast of a time/offset/period expression to an
     /// integer type.
     LossyTimeCast,
-    /// Panicking escape hatch in `lf_core` production code.
-    CorePanicPath,
-    /// Undocumented `pub fn` in `lf-core`/`lf-dsp`.
-    MissingDocs,
-    /// Bare unbounded `mpsc::channel()` in production code.
-    UnboundedChannel,
-    /// `println!`/`eprintln!` in library-crate production code.
-    NoPrintlnInCrates,
     /// Direct call of a decode-stage internal from library code outside
     /// `lf-core`.
     NoStageBypass,
@@ -158,10 +136,6 @@ impl Rule {
         match self {
             Rule::FloatOrdering => "float-ordering",
             Rule::LossyTimeCast => "lossy-time-cast",
-            Rule::CorePanicPath => "core-panic-path",
-            Rule::MissingDocs => "missing-docs",
-            Rule::UnboundedChannel => "no-unbounded-channel",
-            Rule::NoPrintlnInCrates => "no-println-in-crates",
             Rule::NoStageBypass => "no-stage-bypass",
             Rule::NoEpochRescan => "no-epoch-rescan",
             Rule::LockOrdering => "lock-ordering",
@@ -259,10 +233,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 /// Which rule families apply to a file, from its path relative to the
 /// scanned root.
 struct Scope {
-    core_panic: bool,
-    docs: bool,
     time_cast: bool,
-    no_println: bool,
     stage_bypass: bool,
     epoch_rescan: bool,
     wallclock: bool,
@@ -273,20 +244,16 @@ fn scope_of(root: &Path, file: &Path) -> Scope {
     let rel = file.strip_prefix(root).unwrap_or(file);
     let rel = rel.to_string_lossy().replace('\\', "/");
     let in_core = rel.contains("core/src");
-    let in_dsp = rel.contains("dsp/src");
     let in_types = rel.contains("types/src");
-    // Binaries and examples own their stdout; only library sources are
-    // held to the events-not-println rule.
+    // Binaries and examples run their own experiments and own their
+    // output; only library sources are held to the composition rules.
     let is_bin = rel.contains("/bin/")
         || rel.contains("examples/")
         || rel.ends_with("main.rs")
         || rel.ends_with("build.rs");
     Scope {
-        core_panic: in_core,
-        docs: in_core || in_dsp,
         // lf-types owns the sanctioned index/time conversion helpers.
         time_cast: !in_types,
-        no_println: !is_bin,
         // lf-core composes its own stages; binaries/examples run their
         // own experiments. Everything else goes through the graph.
         stage_bypass: !in_core && !is_bin,
@@ -306,9 +273,8 @@ fn scope_of(root: &Path, file: &Path) -> Scope {
 fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) {
     let scope = scope_of(root, file);
     let lines: Vec<&str> = text.lines().collect();
-    let mut prev_doc = false; // previous significant line was /// or #[...]
-                              // Ranked locks textually acquired so far in the current function
-                              // (rank index into LOCK_RANKS), for the lock-ordering rule.
+    // Ranked locks textually acquired so far in the current function
+    // (rank index into LOCK_RANKS), for the lock-ordering rule.
     let mut locks_taken: Vec<usize> = Vec::new();
     // Whether the scan is inside a `// hot-kernel begin` … `end` region
     // (the no-aos-hotloop rule's scope).
@@ -362,51 +328,6 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 message: "time/offset/period values cross to integer types \
                           via round()/floor()/ceil() or an lf-types helper, \
                           not a bare truncating `as`"
-                    .into(),
-            });
-        }
-
-        if scope.core_panic && !waived(comment, Rule::CorePanicPath) && !trimmed.starts_with("//") {
-            if let Some(what) = panic_escape_hatch(code) {
-                findings.push(Finding {
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    rule: Rule::CorePanicPath,
-                    message: format!(
-                        "`{what}` is reachable from the decode pipeline; \
-                         degrade via Option/Result instead"
-                    ),
-                });
-            }
-        }
-
-        if !waived(comment, Rule::UnboundedChannel)
-            && !trimmed.starts_with("//")
-            && has_unbounded_channel(code)
-        {
-            findings.push(Finding {
-                file: file.to_path_buf(),
-                line: lineno,
-                rule: Rule::UnboundedChannel,
-                message: "`mpsc::channel()` buffers without bound; use \
-                          `mpsc::sync_channel` or `lf_reader::BoundedQueue` \
-                          so backpressure is explicit"
-                    .into(),
-            });
-        }
-
-        if scope.no_println
-            && !waived(comment, Rule::NoPrintlnInCrates)
-            && !trimmed.starts_with("//")
-            && has_print_macro(code)
-        {
-            findings.push(Finding {
-                file: file.to_path_buf(),
-                line: lineno,
-                rule: Rule::NoPrintlnInCrates,
-                message: "library crates emit diagnostics through \
-                          `lf_obs::event!`, not println!/eprintln! \
-                          (binaries and examples own their stdout)"
                     .into(),
             });
         }
@@ -550,22 +471,6 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 });
             }
         }
-
-        if scope.docs && !waived(comment, Rule::MissingDocs) && is_pub_fn(trimmed) && !prev_doc {
-            findings.push(Finding {
-                file: file.to_path_buf(),
-                line: lineno,
-                rule: Rule::MissingDocs,
-                message: "public function without a doc comment".into(),
-            });
-        }
-
-        // Track doc state for the *next* line: doc comments and attributes
-        // chain down to the item they precede.
-        if !trimmed.is_empty() {
-            prev_doc = trimmed.starts_with("///")
-                || (prev_doc && (trimmed.starts_with("#[") || trimmed.starts_with("#![")));
-        }
     }
 }
 
@@ -647,40 +552,6 @@ fn find_as_cast(code: &str) -> Option<usize> {
     code.find(" as ").map(|rel| rel + 1)
 }
 
-fn panic_escape_hatch(code: &str) -> Option<&'static str> {
-    const HATCHES: &[&str] = &[
-        ".unwrap()",
-        ".expect(",
-        "panic!(",
-        "unreachable!(",
-        "todo!(",
-        "unimplemented!(",
-    ];
-    HATCHES.iter().find(|h| code.contains(*h)).copied()
-}
-
-fn has_unbounded_channel(code: &str) -> bool {
-    // Neither probe is a substring of `mpsc::sync_channel(…)`, so the
-    // bounded constructor never fires. The second form is the turbofish.
-    code.contains("mpsc::channel(") || code.contains("mpsc::channel::<")
-}
-
-fn has_print_macro(code: &str) -> bool {
-    // The probes carry their `!` so `pretty_print(x)` or a method named
-    // `print` never fires; `writeln!` to an arbitrary writer is fine.
-    ["println!", "eprintln!", "print!", "eprint!"]
-        .iter()
-        .any(|probe| {
-            code.match_indices(probe).any(|(pos, _)| {
-                // Reject matches that are a suffix of a longer identifier
-                // (`eprintln!` contains `println!` at offset 1).
-                pos == 0
-                    || !code.as_bytes()[pos - 1].is_ascii_alphanumeric()
-                        && code.as_bytes()[pos - 1] != b'_'
-            })
-        })
-}
-
 /// The decode pipeline's stage entry points: only `lf-core`'s stage graph
 /// composes these. Each probe carries its call paren so a mention in a
 /// path or doc string never fires, and the prefix check below rejects
@@ -716,12 +587,6 @@ fn has_epoch_rescan(code: &str) -> bool {
         pos == 0
             || !code.as_bytes()[pos - 1].is_ascii_alphanumeric() && code.as_bytes()[pos - 1] != b'_'
     })
-}
-
-fn is_pub_fn(trimmed: &str) -> bool {
-    trimmed.starts_with("pub fn ")
-        || trimmed.starts_with("pub const fn ")
-        || trimmed.starts_with("pub unsafe fn ")
 }
 
 /// Any function declaration line, used as the reset/stop boundary for the
@@ -956,28 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_channel_probe() {
-        assert!(has_unbounded_channel("let (tx, rx) = mpsc::channel();"));
-        assert!(has_unbounded_channel(
-            "let p = std::sync::mpsc::channel::<Job>();"
-        ));
-        assert!(!has_unbounded_channel("let p = mpsc::sync_channel(4);"));
-        assert!(!has_unbounded_channel("queue.channel_estimate()"));
-    }
-
-    #[test]
-    fn print_macro_probe() {
-        assert!(has_print_macro(r#"println!("x = {x}");"#));
-        assert!(has_print_macro(r#"eprintln!("warn");"#));
-        assert!(has_print_macro(r#"print!("{}", snap);"#));
-        // `eprintln!` must count once as eprintln!, not again as a
-        // embedded `println!`.
-        assert!(!has_print_macro("pretty_print(x)"));
-        assert!(!has_print_macro(r#"writeln!(out, "row")"#));
-        assert!(!has_print_macro("self.print_hook()"));
-    }
-
-    #[test]
     fn stage_bypass_probe() {
         assert_eq!(
             stage_bypass_call("let edges = detect_edges(&signal, &cfg);"),
@@ -1003,13 +846,6 @@ mod tests {
         // do mentions without a call.
         assert!(!has_epoch_rescan("let s = MyPrefixSums::new(signal);"));
         assert!(!has_epoch_rescan("use lf_core::edges::PrefixSums;"));
-    }
-
-    #[test]
-    fn panic_hatch_probe() {
-        assert_eq!(panic_escape_hatch("x.unwrap()"), Some(".unwrap()"));
-        assert_eq!(panic_escape_hatch("x.unwrap_or(0)"), None);
-        assert_eq!(panic_escape_hatch("assert!(k > 0)"), None);
     }
 
     #[test]

@@ -25,10 +25,6 @@ fn fixtures_trigger_every_rule() {
     for rule in [
         Rule::FloatOrdering,
         Rule::LossyTimeCast,
-        Rule::CorePanicPath,
-        Rule::MissingDocs,
-        Rule::UnboundedChannel,
-        Rule::NoPrintlnInCrates,
         Rule::NoStageBypass,
         Rule::NoEpochRescan,
         Rule::LockOrdering,
@@ -49,19 +45,12 @@ fn fixtures_trigger_every_rule() {
 #[test]
 fn fixture_finding_counts_are_exact() {
     // Exact counts pin down both sides: every seeded violation fires, and
-    // nothing else does (the documented fn, the sanctioned floor() cast,
-    // the waived line, the #[cfg(test)] module).
+    // nothing else does (the sanctioned floor() cast, the waived lines,
+    // the #[cfg(test)] modules).
     let findings = lint_tree(&fixtures()).unwrap();
     let count = |rule: Rule| findings.iter().filter(|f| f.rule == rule).count();
     assert_eq!(count(Rule::FloatOrdering), 2, "{findings:?}");
     assert_eq!(count(Rule::LossyTimeCast), 1, "{findings:?}");
-    assert_eq!(count(Rule::CorePanicPath), 2, "{findings:?}");
-    assert_eq!(count(Rule::MissingDocs), 2, "{findings:?}");
-    assert_eq!(count(Rule::UnboundedChannel), 1, "{findings:?}");
-    // Two seeded stdout/stderr writes; the waived banner, the doc-comment
-    // mention, the test-module print, and the whole examples/ file are
-    // silent.
-    assert_eq!(count(Rule::NoPrintlnInCrates), 2, "{findings:?}");
     // Two seeded stage-internal calls in library code; the waived
     // isolation measurement and the test-module call are silent.
     assert_eq!(count(Rule::NoStageBypass), 2, "{findings:?}");

@@ -3,13 +3,13 @@
 //! §3.2: "the reader chops up time into shorter epochs, where each epoch
 //! is initiated by the reader by shutting off and re-starting its carrier
 //! wave." This example synthesizes a continuous capture containing three
-//! epochs separated by carrier-off gaps, lets the session decoder find
-//! the gaps itself, and shows the tag's offset re-randomizing across
-//! epochs (the §3.6 collision-recovery mechanism).
+//! epochs separated by carrier-off gaps, lets the reader's segmenter find
+//! the gaps itself (`sequential_decode` over a `SliceSource`), and shows
+//! the tag's offset re-randomizing across epochs (the §3.6
+//! collision-recovery mechanism).
 //!
 //! Run with: `cargo run --release --example epoch_sessions`
 
-use lf_backscatter::core::epoch::decode_session;
 use lf_backscatter::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,12 +63,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut cfg = DecoderConfig::at_sample_rate(fs);
     cfg.rate_plan = RatePlan::from_bps(100.0, &[10_000.0])?;
-    let epochs = decode_session(&session, &cfg);
+    let decoder = Decoder::new(cfg.clone());
+    let epochs = sequential_decode(
+        SliceSource::new(session, 4_096),
+        &decoder,
+        SegmenterConfig::from_decoder(&cfg),
+    );
     println!("carrier-gap segmentation found {} epochs", epochs.len());
+    assert_eq!(epochs.len(), 3, "one epoch per carrier-on segment");
 
     for (k, e) in epochs.iter().enumerate() {
         let stream = e
-            .decode
+            .decode()
+            .ok_or("epoch was not decoded")?
             .streams
             .iter()
             .max_by_key(|s| s.bits.len())

@@ -52,6 +52,7 @@
 //! `EXPERIMENTS.md` for the reproduction methodology and results.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub use lf_baselines as baselines;
 pub use lf_channel as channel;

@@ -162,3 +162,67 @@ fn forced_collision_separates_through_public_api() {
         "collision recovery too weak: {total_correct}/{total_sent}"
     );
 }
+
+#[test]
+fn session_decode_recovers_streams_in_both_epochs() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    // Two epochs with one tag each, separated by carrier-off gaps; the tag
+    // re-keys its offset per epoch (as the comparator would).
+    let fs = SampleRate::from_msps(1.0);
+    let mut rng = StdRng::seed_from_u64(8);
+    let bits: BitVec = (0..60).map(|k| k == 0 || (k * 7 % 5) < 2).collect();
+    let mut session: Vec<Complex> = Vec::new();
+    let mut truth_bits = Vec::new();
+    let mut truth_spans = Vec::new();
+    for epoch in 0..2 {
+        let tag = LfTag::new(TagConfig {
+            id: TagId(0),
+            rate: BitRate::from_bps(10_000.0, 100.0).unwrap(),
+            clock: ClockModel::ideal(),
+            comparator: Comparator::fixed(100e-6 + epoch as f64 * 23e-6),
+        });
+        let plan = tag.plan_epoch(bits.clone(), fs, 100.0, &mut rng);
+        truth_bits.push(plan.bits.clone());
+        let mut air = AirConfig::paper_default(8_000);
+        air.sample_rate = fs;
+        air.noise_sigma = 0.004;
+        air.seed = 40 + epoch;
+        let start = session.len();
+        session.extend(synthesize(
+            &air,
+            &[TagAir {
+                events: plan.events,
+                initial_level: 0.0,
+                process: Box::new(StaticChannel(Complex::new(0.1, 0.05))),
+            }],
+        ));
+        truth_spans.push(start..session.len());
+        // Carrier-off gap: noise only.
+        let mut gap_cfg = AirConfig::paper_default(600);
+        gap_cfg.sample_rate = fs;
+        gap_cfg.env_reflection = Complex::ZERO;
+        gap_cfg.noise_sigma = 0.004;
+        gap_cfg.seed = 90 + epoch;
+        session.extend(synthesize(&gap_cfg, &[]));
+    }
+
+    let mut cfg = DecoderConfig::at_sample_rate(fs);
+    cfg.rate_plan = RatePlan::from_bps(100.0, &[10_000.0]).unwrap();
+    let reports = sequential_decode(
+        SliceSource::new(session, 4_096),
+        &Decoder::new(cfg.clone()),
+        SegmenterConfig::from_decoder(&cfg),
+    );
+    let ranges: Vec<_> = reports.iter().map(|r| r.range.clone()).collect();
+    assert_eq!(ranges, truth_spans, "both carrier-on segments found");
+    for (k, report) in reports.iter().enumerate() {
+        let decode = report.decode().expect("epoch decoded");
+        let s = decode
+            .streams
+            .iter()
+            .find(|s| s.bits.len() >= 60)
+            .unwrap_or_else(|| panic!("epoch {k} decoded no stream"));
+        assert_eq!(s.bits.slice(0, 60), truth_bits[k], "epoch {k} bits wrong");
+    }
+}

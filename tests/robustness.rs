@@ -77,11 +77,23 @@ fn decoder_handles_non_finite_samples_degraded_but_safe() {
 
 #[test]
 fn epoch_splitter_handles_degenerate_sessions() {
-    use lf_backscatter::core::epoch::split_epochs;
+    use lf_backscatter::reader::{OnlineSegmenter, SegmentedEpoch, ThresholdPolicy};
+    let split = |sig: &[Complex]| -> Vec<SegmentedEpoch> {
+        let mut seg = OnlineSegmenter::new(SegmenterConfig {
+            smooth: 8,
+            min_gap: 64,
+            min_epoch: 256,
+            max_epoch: 1 << 20,
+            threshold: ThresholdPolicy::Calibrate { window: 512 },
+        });
+        let mut out = Vec::new();
+        seg.push_chunk(sig, &mut out);
+        seg.finish(&mut out);
+        out
+    };
     // Constant power: one epoch or none, never a panic.
     let sig = vec![Complex::new(0.3, 0.1); 2_000];
-    let e = split_epochs(&sig, 8, 64, 256);
-    assert!(e.len() <= 1);
+    assert!(split(&sig).len() <= 1);
     // Alternating on/off faster than min_gap: treated as one noisy epoch.
     let sig: Vec<Complex> = (0..2_000)
         .map(|t| {
@@ -92,5 +104,5 @@ fn epoch_splitter_handles_degenerate_sessions() {
             }
         })
         .collect();
-    let _ = split_epochs(&sig, 8, 64, 256);
+    assert!(split(&sig).len() <= 1);
 }
