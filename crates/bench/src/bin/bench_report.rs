@@ -115,8 +115,8 @@ fn main() -> ExitCode {
     let snap = obs.registry_snapshot();
 
     let samples_total = args.epochs * fix.signal.len();
-    // Stage keys come from the decode graph, so the report tracks the
-    // pipeline's actual shape; "total" is the whole-epoch histogram.
+    // Stage keys come from the decoder's own stage names, so the report
+    // tracks the pipeline's actual shape; "total" is the whole-epoch histogram.
     let stages = StageTimings::names()
         .into_iter()
         .chain(std::iter::once("total"))

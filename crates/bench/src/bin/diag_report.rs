@@ -166,10 +166,10 @@ fn main() -> ExitCode {
 
     let obs = ObsContext::new();
     let mut cfg = FleetConfig::for_decoder(&decoder_cfg, FrameExtractor::for_scenario(&scenario));
-    cfg.diag.ledger = Some(Arc::clone(&ledger));
-    cfg.diag.flight = Some(Arc::clone(&flight));
+    cfg.reader.diag.ledger = Some(Arc::clone(&ledger));
+    cfg.reader.diag.flight = Some(Arc::clone(&flight));
     // Any class below full delivery trips the black box.
-    cfg.diag.min_delivery_ratio = Some(1.0);
+    cfg.min_delivery_ratio = Some(1.0);
 
     let (fleet, mut subs) =
         FleetRuntime::spawn_decoder(sources, decoder_cfg.clone(), &cfg, 1, obs.clone());

@@ -82,20 +82,10 @@ pub fn decode_single_traced(
     }
 }
 
-/// Decodes one member of a separated collision.
-pub fn decode_member(
-    observations: &[Complex],
-    e: Complex,
-    emissions: EmissionModel,
-    cfg: &DecoderConfig,
-) -> BitVec {
-    decode_member_traced(observations, e, emissions, cfg).0
-}
-
-/// [`decode_member`] plus the path metric of the decode. The anchor
-/// outcome is left [`AnchorOutcome::NotEvaluated`] — for collision
-/// members the anchor was already consumed by the lattice sign pinning in
-/// the separation stage.
+/// Decodes one member of a separated collision, with the path metric of
+/// the decode. The anchor outcome is left [`AnchorOutcome::NotEvaluated`]
+/// — for collision members the anchor was already consumed by the lattice
+/// sign pinning in the separation stage.
 pub fn decode_member_traced(
     observations: &[Complex],
     e: Complex,

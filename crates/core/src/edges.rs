@@ -128,7 +128,7 @@ pub(crate) fn differential_at(sums: &PrefixSums, t: f64, guard: f64, window: usi
 ///
 /// Convenience entry point that builds its own prefix-sum table and
 /// scratch; the pipeline threads a per-epoch table and reusable buffers
-/// through [`detect_edges_with`] instead.
+/// through `detect_edges_with` instead.
 pub fn detect_edges(signal: &[Complex], cfg: &DecoderConfig) -> Vec<EdgeEvent> {
     let sums = PrefixSums::new(signal); // one-shot entry point: xtask: allow(no-epoch-rescan)
     detect_edges_with(

@@ -1,45 +1,45 @@
-//! The stage-graph decode path: composable stages over a shared
-//! per-epoch context.
+//! The decode runner: the paper's stages, plus the sub-harmonic carve,
+//! called in a fixed order over a shared per-epoch context.
 //!
-//! The paper's reader is a five-stage pipeline (§3.1–§3.5), but running it
-//! as one linear function cannot express the sub-harmonic recovery the
-//! ROADMAP calls for: when two tags' edge trains fuse at a shared
-//! sub-harmonic, the fix requires *re-entering* the folding stage on the
-//! residual edges after the cluster analysis has seen the fused stream.
-//! This module models the pipeline as a small graph instead:
+//! The paper's reader is a five-stage pipeline (§3.1–§3.5). One linear
+//! pass cannot express the sub-harmonic recovery the ROADMAP calls for:
+//! when two tags' edge trains fuse at a shared sub-harmonic, the fix
+//! requires re-tracking on the residual edges *after* the cluster
+//! analysis has seen the fused stream. So the runner has one back edge:
 //!
-//! * `Stage` — one stage, a stateless unit struct. All decode state
-//!   lives in the `EpochContext`; a stage reads and writes the context
-//!   and returns a `StageOutcome` telling the runner whether to advance
-//!   or jump back to an earlier stage by name.
-//! * `EpochContext` — the per-epoch arena: the borrowed IQ view (never
-//!   cloned), the edge list, tracked streams, per-stream slot units, the
-//!   carve bookkeeping, and the assembled outputs.
-//! * `run` — the runner. It owns stage ordering, bounds re-entry, and is
-//!   the *single* instrumentation point: one installed obs context, one
-//!   stopwatch per stage execution (re-entries accumulate into the same
-//!   [`StageTimings`] slot), and every other view derived from that one
-//!   measurement — the stage spans close with it and the
-//!   `pipeline.stage.*` histograms record it. Provenance is assembled
-//!   once at the end. [`crate::pipeline::Decoder`] is a thin facade over
-//!   this runner, and all of the above is crate-private.
+//! ```text
+//! edges → folding → slots → separation → decode → carve ─┐
+//!            ▲                                            │
+//!            └──────── re-track (≤ MAX_REENTRIES) ◄───────┘
+//! ```
 //!
-//! Stage names, span names, metric names, and the [`StageTimings`] slots
-//! are all derived from the one `STAGES` array — adding a stage cannot
-//! silently skip timing or observability.
+//! * Six private stage functions — `edges`, `folding`, `slots`,
+//!   `separation`, `decode`, `carve` — each read and write the
+//!   `EpochContext`: the borrowed IQ view (never cloned), the caller's
+//!   [`DecodeScratch`], the edge list, tracked streams, per-stream slot
+//!   units, the carve bookkeeping, and the assembled outputs.
+//! * `run` — the runner. It calls the stages in order, bounds the
+//!   carve's re-entries, and is the *single* instrumentation point: one
+//!   installed obs context, one stopwatch per stage execution (a re-run
+//!   stage accumulates into the same [`StageTimings`] slot), and every
+//!   other view derived from that one measurement — the stage spans close
+//!   with it and the `pipeline.stage.*` histograms record it. Provenance
+//!   is assembled once at the end. [`crate::pipeline::Decoder`] is a thin
+//!   facade over this runner, and all of the above is crate-private.
 //!
 //! The sixth stage implements sub-harmonic carving: when a tracked
 //! stream's fold was ambiguous (two edge trains in one histogram) and the
 //! cluster analysis could not explain it as a 2-tag collision, the carve
 //! collects the unclaimed residual edges along the stream's own channel
 //! direction, re-folds them at candidate harmonics of the fused rate, and
-//! — if a harmonic explains them — re-enters the folding stage to re-track
-//! the stream at that harmonic with the structural alias checks suspended.
-//! The attempt is recorded as a [`CarveProvenance`] either way.
+//! — if a harmonic explains them — the runner re-tracks the stream at that
+//! harmonic with the structural alias checks suspended (timed as folding)
+//! and runs stages 3–6 again. The attempt is recorded as a
+//! [`CarveProvenance`] either way.
 
 use crate::config::DecoderConfig;
 use crate::decode::{decode_member_traced, decode_single_traced};
-use crate::edges::{detect_edges_with, EdgeEvent, PrefixSums};
+use crate::edges::{detect_edges_with, EdgeEvent};
 use crate::pipeline::{DecodedStream, EpochDecode, StageTimings, StreamKind};
 use crate::provenance::{
     AdmissionRecord, AnchorOutcome, CarveProvenance, DecodeProvenance, SeparationProvenance,
@@ -50,29 +50,50 @@ use crate::separate::{analyze_slots_with, StreamAnalysis};
 use crate::slots::{edge_owners_into, foreign_edges_into, slot_cleanliness, slot_differentials};
 use crate::streams::{find_streams_with, retrack_at_harmonic, TrackedStream};
 use lf_dsp::checks;
-use lf_dsp::fold::{FoldTable, FoldedHistogram};
+use lf_dsp::fold::FoldTable;
 use lf_obs::{Counter, Histogram, ObsContext, SpanGuard};
 use lf_types::{BitRate, BitVec, Complex};
 use std::time::{Duration, Instant};
 
-/// The decode graph, in nominal execution order. Single source of truth
-/// for stage names, spans, metrics, and timing slots.
-const STAGES: [&'static dyn Stage; 6] = [
-    &EdgesStage,
-    &FoldingStage,
-    &SlotsStage,
-    &SeparationStage,
-    &DecodeStage,
-    &CarveStage,
+/// Number of decode stages (the length of the [`StageTimings`] per-stage
+/// array).
+pub const STAGE_COUNT: usize = 6;
+
+/// Stage names in execution order, index-aligned with the
+/// [`StageTimings`] per-stage slots, the spans and the metrics below.
+pub(crate) const STAGE_NAMES: [&str; STAGE_COUNT] =
+    ["edges", "folding", "slots", "separation", "decode", "carve"];
+
+/// Span recorded around every execution of each stage.
+const SPAN_NAMES: [&str; STAGE_COUNT] = [
+    "pipeline.edges",
+    "pipeline.folding",
+    "pipeline.slots",
+    "pipeline.separation",
+    "pipeline.decode",
+    "pipeline.carve",
 ];
 
-/// Number of stages in the decode graph (the length of the
-/// [`StageTimings`] per-stage array).
-pub const STAGE_COUNT: usize = STAGES.len();
+/// Histogram recording each stage's per-epoch latency.
+const METRIC_NAMES: [&str; STAGE_COUNT] = [
+    "pipeline.stage.edges.ns",
+    "pipeline.stage.folding.ns",
+    "pipeline.stage.slots.ns",
+    "pipeline.stage.separation.ns",
+    "pipeline.stage.decode.ns",
+    "pipeline.stage.carve.ns",
+];
 
-/// Upper bound on re-entries per epoch: a stage may send the runner
-/// backwards at most this many times, so a buggy split test cannot loop
-/// the decode forever.
+// Each stage's index into the arrays above and the timing slots.
+const EDGES: usize = 0;
+const FOLDING: usize = 1;
+const SLOTS: usize = 2;
+const SEPARATION: usize = 3;
+const DECODE: usize = 4;
+const CARVE: usize = 5;
+
+/// Upper bound on carve re-runs per epoch, so a buggy split test cannot
+/// loop the decode forever.
 const MAX_REENTRIES: usize = 4;
 
 /// Minimum residual edges required before a carve is even attempted, and
@@ -87,42 +108,8 @@ const MIN_CARVE_GAIN: usize = 3;
 /// another tag's off-grid edges must not feed this stream's split test.
 const CARVE_DIR_ALIGN: f64 = 0.85;
 
-/// The graph's stage names, index-aligned with the [`StageTimings`]
-/// per-stage slots and the `pipeline.stage.<name>.ns` metric family.
-pub fn stage_names() -> [&'static str; STAGE_COUNT] {
-    std::array::from_fn(|i| STAGES[i].name())
-}
-
-/// What the runner should do after a stage execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StageOutcome {
-    /// Proceed to the next stage in graph order.
-    Advance,
-    /// Jump back to the named stage (a re-fold pass). The runner bounds
-    /// the number of re-entries per epoch; an unknown name advances.
-    ReEnter(&'static str),
-}
-
-/// One stage of the decode graph.
-///
-/// Stages are stateless (`Sync` unit structs); all decode state lives in
-/// the shared [`EpochContext`]. The runner wraps every execution in the
-/// stage's span and accumulates its wall clock into the stage's
-/// [`StageTimings`] slot — stages themselves carry no instrumentation.
-pub(crate) trait Stage: Sync {
-    /// Short stage name: the [`StageTimings`] slot label and the re-entry
-    /// key used by [`StageOutcome::ReEnter`].
-    fn name(&self) -> &'static str;
-    /// Span recorded around every execution of this stage.
-    fn span_name(&self) -> &'static str;
-    /// Histogram recording this stage's per-epoch latency.
-    fn metric_name(&self) -> &'static str;
-    /// Executes the stage over the shared context.
-    fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome;
-}
-
-/// A sub-harmonic carve scheduled by the carve stage for the folding
-/// stage's re-entry pass.
+/// A sub-harmonic carve chosen by the carve stage, for the runner to
+/// re-track.
 #[derive(Debug, Clone)]
 struct CarveRequest {
     /// Index into [`EpochContext::tracked`] of the fused stream.
@@ -146,27 +133,21 @@ struct StreamUnit {
     analysis: Option<(StreamAnalysis, SeparationProvenance)>,
 }
 
-/// Shared per-epoch decode state: the borrowed IQ view, the edge arena,
-/// tracked streams, per-stream slot units, carve bookkeeping, and the
-/// assembled outputs. Stages communicate exclusively through this
-/// context; the capture itself is borrowed for the whole decode and never
-/// cloned (the runner owns the one sanitized copy that a NaN-poisoned
-/// capture forces).
+/// Shared per-epoch decode state: the borrowed IQ view, the caller's
+/// scratch, the edge arena, tracked streams, per-stream slot units, carve
+/// bookkeeping, and the assembled outputs. Stages communicate exclusively
+/// through this context; the capture itself is borrowed for the whole
+/// decode and never cloned (the runner owns the one sanitized copy that a
+/// NaN-poisoned capture forces).
 #[derive(Debug)]
-pub(crate) struct EpochContext<'a> {
+struct EpochContext<'a> {
     cfg: &'a DecoderConfig,
     signal: &'a [Complex],
-    /// Epoch-wide prefix sums, built once by the runner and shared by the
-    /// edges and slots stages (the hot-path contract: no stage rebuilds
-    /// them — see the `no-epoch-rescan` lint).
-    sums: &'a PrefixSums,
-    /// Borrowed views into the caller's [`DecodeScratch`].
-    msq: &'a mut Vec<f64>,
-    select: &'a mut Vec<f64>,
-    owner: &'a mut Vec<Option<usize>>,
-    foreign: &'a mut Vec<(f64, Complex)>,
-    unowned: &'a mut Vec<bool>,
-    fold_hists: &'a mut Vec<FoldedHistogram>,
+    /// The caller's reusable buffers. Its prefix sums are built once by
+    /// the runner and shared by the edges and slots stages (the hot-path
+    /// contract: no stage rebuilds them — see the `no-epoch-rescan`
+    /// lint).
+    scratch: &'a mut DecodeScratch,
     edges: Vec<EdgeEvent>,
     /// Admission-cascade rejections recorded by the edges and folding
     /// stages (goes into [`DecodeProvenance::admission`]).
@@ -177,224 +158,150 @@ pub(crate) struct EpochContext<'a> {
     /// Per-tracked-stream: whether a carve was already requested for it
     /// (one attempt per stream per epoch).
     carve_attempted: Vec<bool>,
-    /// Per-tracked-stream carve record, populated by the re-entry pass.
+    /// Per-tracked-stream carve record, populated by the re-track.
     carves: Vec<Option<CarveProvenance>>,
-    /// Carves scheduled for the next folding execution.
-    carve_requests: Vec<CarveRequest>,
-}
-
-impl<'a> EpochContext<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        cfg: &'a DecoderConfig,
-        signal: &'a [Complex],
-        sums: &'a PrefixSums,
-        msq: &'a mut Vec<f64>,
-        select: &'a mut Vec<f64>,
-        owner: &'a mut Vec<Option<usize>>,
-        foreign: &'a mut Vec<(f64, Complex)>,
-        unowned: &'a mut Vec<bool>,
-        fold_hists: &'a mut Vec<FoldedHistogram>,
-    ) -> Self {
-        EpochContext {
-            cfg,
-            signal,
-            sums,
-            msq,
-            select,
-            owner,
-            foreign,
-            unowned,
-            fold_hists,
-            edges: Vec::new(),
-            admission: Vec::new(),
-            tracked: Vec::new(),
-            units: Vec::new(),
-            outputs: Vec::new(),
-            carve_attempted: Vec::new(),
-            carves: Vec::new(),
-            carve_requests: Vec::new(),
-        }
-    }
 }
 
 /// Stage 1 — edge detection (§3.1).
-struct EdgesStage;
-
-impl Stage for EdgesStage {
-    fn name(&self) -> &'static str {
-        "edges"
-    }
-    fn span_name(&self) -> &'static str {
-        "pipeline.edges"
-    }
-    fn metric_name(&self) -> &'static str {
-        "pipeline.stage.edges.ns"
-    }
-    fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
-        ctx.edges = detect_edges_with(ctx.sums, ctx.cfg, ctx.msq, ctx.select, &mut ctx.admission);
-        for e in &ctx.edges {
-            checks::assert_finite_scalar("edge-detection", e.time);
-            checks::assert_finite_scalar("edge-detection", e.strength);
-            checks::assert_finite_complex("edge-detection", std::slice::from_ref(&e.diff));
-        }
-        StageOutcome::Advance
+fn edges(ctx: &mut EpochContext<'_>) {
+    let s = &mut *ctx.scratch;
+    ctx.edges = detect_edges_with(
+        &s.prefix,
+        ctx.cfg,
+        &mut s.msq,
+        &mut s.select,
+        &mut ctx.admission,
+    );
+    for e in &ctx.edges {
+        checks::assert_finite_scalar("edge-detection", e.time);
+        checks::assert_finite_scalar("edge-detection", e.strength);
+        checks::assert_finite_complex("edge-detection", std::slice::from_ref(&e.diff));
     }
 }
 
-/// Stage 2 — eye-pattern folding and drift tracking (§3.2). On a carve
-/// re-entry this stage re-tracks the requested streams at their carved
-/// harmonics instead of searching from scratch.
-struct FoldingStage;
+/// Stage 2 — eye-pattern folding and drift tracking (§3.2).
+fn folding(ctx: &mut EpochContext<'_>) {
+    ctx.tracked = find_streams_with(
+        &ctx.edges,
+        ctx.signal.len(),
+        ctx.cfg,
+        &mut ctx.scratch.fold_hists,
+        &mut ctx.admission,
+    );
+    ctx.carve_attempted = vec![false; ctx.tracked.len()];
+    ctx.carves = vec![None; ctx.tracked.len()];
+    check_tracked(&ctx.tracked);
+}
 
-impl Stage for FoldingStage {
-    fn name(&self) -> &'static str {
-        "folding"
-    }
-    fn span_name(&self) -> &'static str {
-        "pipeline.folding"
-    }
-    fn metric_name(&self) -> &'static str {
-        "pipeline.stage.folding.ns"
-    }
-    fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
-        if ctx.carve_requests.is_empty() {
-            ctx.tracked = find_streams_with(
-                &ctx.edges,
-                ctx.signal.len(),
-                ctx.cfg,
-                ctx.fold_hists,
-                &mut ctx.admission,
-            );
-            ctx.carve_attempted = vec![false; ctx.tracked.len()];
-            ctx.carves = vec![None; ctx.tracked.len()];
-        } else {
-            let requests = std::mem::take(&mut ctx.carve_requests);
-            for req in requests {
-                apply_carve(ctx, &req);
-            }
-            // Downstream state describes the pre-carve tracks; stages 3–5
-            // recompute it on the way back down.
-            ctx.units.clear();
-            ctx.outputs.clear();
-        }
-        for ts in &ctx.tracked {
-            checks::assert_finite_scalar("stream-tracking", ts.offset);
-            checks::assert_finite_scalar("stream-tracking", ts.period_est);
-            checks::assert_finite_f64("stream-tracking", &ts.slot_times);
-        }
-        StageOutcome::Advance
+/// The folding stage's boundary taint checks, run after the search and
+/// after every re-track.
+fn check_tracked(tracked: &[TrackedStream]) {
+    for ts in tracked {
+        checks::assert_finite_scalar("stream-tracking", ts.offset);
+        checks::assert_finite_scalar("stream-tracking", ts.period_est);
+        checks::assert_finite_f64("stream-tracking", &ts.slot_times);
     }
 }
 
 /// Stage 3 — per-slot IQ differentials with cross-stream masking (§3.3
 /// input preparation).
-struct SlotsStage;
-
-impl Stage for SlotsStage {
-    fn name(&self) -> &'static str {
-        "slots"
-    }
-    fn span_name(&self) -> &'static str {
-        "pipeline.slots"
-    }
-    fn metric_name(&self) -> &'static str {
-        "pipeline.stage.slots.ns"
-    }
-    fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
-        // Edge ownership across all tracked streams, computed once per
-        // epoch: stream k's window trimming must respect edges matched by
-        // the *other* streams but keep its own orphan companions (see
-        // lf_core::slots).
-        edge_owners_into(&ctx.tracked, ctx.edges.len(), ctx.owner);
-        ctx.units.clear();
-        for (si, ts) in ctx.tracked.iter().enumerate() {
-            foreign_edges_into(ts, si, &ctx.edges, &*ctx.owner, ctx.cfg, ctx.foreign);
-            let diffs = slot_differentials(ctx.sums, ts, ctx.foreign, ctx.cfg);
-            checks::assert_finite_complex("slot-differentials", &diffs);
-            let clean = slot_cleanliness(ts, ctx.foreign, ctx.cfg);
-            ctx.units.push(StreamUnit {
-                diffs,
-                clean,
-                analysis: None,
-            });
-        }
-        StageOutcome::Advance
+fn slots(ctx: &mut EpochContext<'_>) {
+    let s = &mut *ctx.scratch;
+    // Edge ownership across all tracked streams, computed once per
+    // epoch: stream k's window trimming must respect edges matched by
+    // the *other* streams but keep its own orphan companions (see
+    // lf_core::slots).
+    edge_owners_into(&ctx.tracked, ctx.edges.len(), &mut s.owner);
+    ctx.units.clear();
+    for (si, ts) in ctx.tracked.iter().enumerate() {
+        foreign_edges_into(ts, si, &ctx.edges, &s.owner, ctx.cfg, &mut s.foreign);
+        let diffs = slot_differentials(&s.prefix, ts, &s.foreign, ctx.cfg);
+        checks::assert_finite_complex("slot-differentials", &diffs);
+        let clean = slot_cleanliness(ts, &s.foreign, ctx.cfg);
+        ctx.units.push(StreamUnit {
+            diffs,
+            clean,
+            analysis: None,
+        });
     }
 }
 
 /// Stage 4 — IQ-cluster collision detection and separation (§3.3–§3.4).
-struct SeparationStage;
-
-impl Stage for SeparationStage {
-    fn name(&self) -> &'static str {
-        "separation"
-    }
-    fn span_name(&self) -> &'static str {
-        "pipeline.separation"
-    }
-    fn metric_name(&self) -> &'static str {
-        "pipeline.stage.separation.ns"
-    }
-    fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
-        for unit in &mut ctx.units {
-            let (analysis, sep_prov) = analyze_slots_with(&unit.diffs, &unit.clean, ctx.cfg);
-            match &analysis {
-                StreamAnalysis::Single(fit) => {
-                    checks::assert_finite_complex(
-                        "collision-separation",
-                        std::slice::from_ref(&fit.e),
-                    );
-                }
-                StreamAnalysis::Collided(fit) => {
-                    checks::assert_finite_complex("collision-separation", &[fit.e1, fit.e2]);
-                    checks::assert_finite_scalar("collision-separation", fit.noise_var);
-                }
-                StreamAnalysis::Unresolved => {}
+fn separation(ctx: &mut EpochContext<'_>) {
+    for unit in &mut ctx.units {
+        let (analysis, sep_prov) = analyze_slots_with(&unit.diffs, &unit.clean, ctx.cfg);
+        match &analysis {
+            StreamAnalysis::Single(fit) => {
+                checks::assert_finite_complex("collision-separation", std::slice::from_ref(&fit.e));
             }
-            unit.analysis = Some((analysis, sep_prov));
+            StreamAnalysis::Collided(fit) => {
+                checks::assert_finite_complex("collision-separation", &[fit.e1, fit.e2]);
+                checks::assert_finite_scalar("collision-separation", fit.noise_var);
+            }
+            StreamAnalysis::Unresolved => {}
         }
-        StageOutcome::Advance
+        unit.analysis = Some((analysis, sep_prov));
     }
 }
 
 /// Stage 5 — bit recovery (§3.5) and per-stream provenance assembly.
-struct DecodeStage;
-
-impl Stage for DecodeStage {
-    fn name(&self) -> &'static str {
-        "decode"
-    }
-    fn span_name(&self) -> &'static str {
-        "pipeline.decode"
-    }
-    fn metric_name(&self) -> &'static str {
-        "pipeline.stage.decode.ns"
-    }
-    fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
-        ctx.outputs.clear();
-        for (si, ts) in ctx.tracked.iter().enumerate() {
-            let Some(unit) = ctx.units.get(si) else {
-                continue;
-            };
-            let Some((analysis, sep_prov)) = unit.analysis.clone() else {
-                continue;
-            };
-            // The per-stream provenance skeleton: what the fold, the
-            // tracker, and the carve saw; the analysis/decode fill the
-            // rest.
-            let base_prov = StreamProvenance {
-                rate_bps: ts.rate_bps,
-                fold: ts.fold.clone(),
-                n_matched: ts.n_matched(),
-                n_slots: ts.n_slots(),
-                residual_std: ts.residual_std,
-                carve: ctx.carves.get(si).cloned().flatten(),
-                ..StreamProvenance::default()
-            };
-            match analysis {
-                StreamAnalysis::Single(fit) => {
-                    let (bits, trace) = decode_single_traced(&unit.diffs, &fit, ctx.cfg);
+fn decode(ctx: &mut EpochContext<'_>) {
+    ctx.outputs.clear();
+    for (si, ts) in ctx.tracked.iter().enumerate() {
+        let Some(unit) = ctx.units.get(si) else {
+            continue;
+        };
+        let Some((analysis, sep_prov)) = unit.analysis.clone() else {
+            continue;
+        };
+        // The per-stream provenance skeleton: what the fold, the
+        // tracker, and the carve saw; the analysis/decode fill the
+        // rest.
+        let base_prov = StreamProvenance {
+            rate_bps: ts.rate_bps,
+            fold: ts.fold.clone(),
+            n_matched: ts.n_matched(),
+            n_slots: ts.n_slots(),
+            residual_std: ts.residual_std,
+            carve: ctx.carves.get(si).cloned().flatten(),
+            ..StreamProvenance::default()
+        };
+        match analysis {
+            StreamAnalysis::Single(fit) => {
+                let (bits, trace) = decode_single_traced(&unit.diffs, &fit, ctx.cfg);
+                ctx.outputs.push((
+                    DecodedStream {
+                        rate: ts.rate,
+                        rate_bps: ts.rate_bps,
+                        offset: ts.offset,
+                        period: ts.period_est,
+                        bits,
+                        kind: StreamKind::Single,
+                        edge_vector: fit.e,
+                    },
+                    StreamProvenance {
+                        kind: Some(StreamKind::Single),
+                        separation: sep_prov,
+                        anchor: trace.anchor,
+                        path_metric: trace.path_metric,
+                        ..base_prov
+                    },
+                ));
+            }
+            StreamAnalysis::Collided(fit) => {
+                // The anchor slot's lattice classification pinned both
+                // member signs during separation.
+                let anchor = fit
+                    .assignments
+                    .first()
+                    .map_or(AnchorOutcome::NotEvaluated, |&(a, b)| {
+                        AnchorOutcome::Pinned { a, b }
+                    });
+                for idx in 0..2 {
+                    let obs = fit.member_observations(idx, &unit.diffs);
+                    let e = if idx == 0 { fit.e1 } else { fit.e2 };
+                    let (bits, trace) =
+                        decode_member_traced(&obs, e, fit.member_emissions(idx), ctx.cfg);
                     ctx.outputs.push((
                         DecodedStream {
                             rate: ts.rate,
@@ -402,153 +309,102 @@ impl Stage for DecodeStage {
                             offset: ts.offset,
                             period: ts.period_est,
                             bits,
-                            kind: StreamKind::Single,
-                            edge_vector: fit.e,
+                            kind: StreamKind::CollisionMember,
+                            edge_vector: e,
                         },
                         StreamProvenance {
-                            kind: Some(StreamKind::Single),
-                            separation: sep_prov,
-                            anchor: trace.anchor,
+                            kind: Some(StreamKind::CollisionMember),
+                            separation: sep_prov.clone(),
+                            anchor,
                             path_metric: trace.path_metric,
-                            ..base_prov
-                        },
-                    ));
-                }
-                StreamAnalysis::Collided(fit) => {
-                    // The anchor slot's lattice classification pinned both
-                    // member signs during separation.
-                    let anchor = fit
-                        .assignments
-                        .first()
-                        .map_or(AnchorOutcome::NotEvaluated, |&(a, b)| {
-                            AnchorOutcome::Pinned { a, b }
-                        });
-                    for idx in 0..2 {
-                        let obs = fit.member_observations(idx, &unit.diffs);
-                        let e = if idx == 0 { fit.e1 } else { fit.e2 };
-                        let (bits, trace) =
-                            decode_member_traced(&obs, e, fit.member_emissions(idx), ctx.cfg);
-                        ctx.outputs.push((
-                            DecodedStream {
-                                rate: ts.rate,
-                                rate_bps: ts.rate_bps,
-                                offset: ts.offset,
-                                period: ts.period_est,
-                                bits,
-                                kind: StreamKind::CollisionMember,
-                                edge_vector: e,
-                            },
-                            StreamProvenance {
-                                kind: Some(StreamKind::CollisionMember),
-                                separation: sep_prov.clone(),
-                                anchor,
-                                path_metric: trace.path_metric,
-                                ..base_prov.clone()
-                            },
-                        ));
-                    }
-                }
-                StreamAnalysis::Unresolved => {
-                    lf_obs::event!(
-                        Warn,
-                        "stream at {} bps unresolved (k_scores={:?})",
-                        ts.rate_bps,
-                        sep_prov.k_scores
-                    );
-                    ctx.outputs.push((
-                        DecodedStream {
-                            rate: ts.rate,
-                            rate_bps: ts.rate_bps,
-                            offset: ts.offset,
-                            period: ts.period_est,
-                            bits: BitVec::new(),
-                            kind: StreamKind::Unresolved,
-                            edge_vector: Complex::ZERO,
-                        },
-                        StreamProvenance {
-                            kind: Some(StreamKind::Unresolved),
-                            separation: sep_prov,
-                            ..base_prov
+                            ..base_prov.clone()
                         },
                     ));
                 }
             }
+            StreamAnalysis::Unresolved => {
+                lf_obs::event!(
+                    Warn,
+                    "stream at {} bps unresolved (k_scores={:?})",
+                    ts.rate_bps,
+                    sep_prov.k_scores
+                );
+                ctx.outputs.push((
+                    DecodedStream {
+                        rate: ts.rate,
+                        rate_bps: ts.rate_bps,
+                        offset: ts.offset,
+                        period: ts.period_est,
+                        bits: BitVec::new(),
+                        kind: StreamKind::Unresolved,
+                        edge_vector: Complex::ZERO,
+                    },
+                    StreamProvenance {
+                        kind: Some(StreamKind::Unresolved),
+                        separation: sep_prov,
+                        ..base_prov
+                    },
+                ));
+            }
         }
-        StageOutcome::Advance
     }
 }
 
 /// Stage 6 — the sub-harmonic split test. Runs after the decode so it can
-/// see the full analysis of every stream; when it finds carve evidence it
-/// re-enters the folding stage, which re-tracks the fused streams and
-/// lets stages 3–5 recompute.
-struct CarveStage;
-
-impl Stage for CarveStage {
-    fn name(&self) -> &'static str {
-        "carve"
+/// see the full analysis of every stream; returns the carves it found
+/// evidence for (empty when there is nothing to re-track), each marked
+/// attempted so no stream is carved twice.
+fn carve(ctx: &mut EpochContext<'_>) -> Vec<CarveRequest> {
+    if ctx.tracked.is_empty() {
+        return Vec::new();
     }
-    fn span_name(&self) -> &'static str {
-        "pipeline.carve"
+    // Edges no tracked stream explains — the carve's raw material.
+    let unowned = &mut ctx.scratch.unowned;
+    unowned.clear();
+    unowned.resize(ctx.edges.len(), true);
+    for ts in &ctx.tracked {
+        for m in ts.matched.iter().flatten() {
+            if let Some(slot) = unowned.get_mut(*m) {
+                *slot = false;
+            }
+        }
     }
-    fn metric_name(&self) -> &'static str {
-        "pipeline.stage.carve.ns"
+    let mut requests = Vec::new();
+    for si in 0..ctx.tracked.len() {
+        if ctx.carve_attempted.get(si).copied().unwrap_or(true) {
+            continue;
+        }
+        if !ctx.tracked[si].fold.is_ambiguous() {
+            continue;
+        }
+        // A separated 2-tag collision already explains the ambiguity;
+        // only Single/Unresolved streams are carve candidates.
+        let collided = matches!(
+            ctx.units.get(si).and_then(|u| u.analysis.as_ref()),
+            Some((StreamAnalysis::Collided(_), _))
+        );
+        if collided {
+            continue;
+        }
+        if let Some(req) = evaluate_carve(ctx, si) {
+            requests.push(req);
+        }
     }
-    fn run(&self, ctx: &mut EpochContext<'_>) -> StageOutcome {
-        if ctx.tracked.is_empty() {
-            return StageOutcome::Advance;
+    for r in &requests {
+        if let Some(a) = ctx.carve_attempted.get_mut(r.stream) {
+            *a = true;
         }
-        // Edges no tracked stream explains — the carve's raw material.
-        ctx.unowned.clear();
-        ctx.unowned.resize(ctx.edges.len(), true);
-        for ts in &ctx.tracked {
-            for m in ts.matched.iter().flatten() {
-                if let Some(slot) = ctx.unowned.get_mut(*m) {
-                    *slot = false;
-                }
-            }
-        }
-        let mut requests = Vec::new();
-        for si in 0..ctx.tracked.len() {
-            if ctx.carve_attempted.get(si).copied().unwrap_or(true) {
-                continue;
-            }
-            if !ctx.tracked[si].fold.is_ambiguous() {
-                continue;
-            }
-            // A separated 2-tag collision already explains the ambiguity;
-            // only Single/Unresolved streams are carve candidates.
-            let collided = matches!(
-                ctx.units.get(si).and_then(|u| u.analysis.as_ref()),
-                Some((StreamAnalysis::Collided(_), _))
-            );
-            if collided {
-                continue;
-            }
-            if let Some(req) = evaluate_carve(ctx, si) {
-                requests.push(req);
-            }
-        }
-        if requests.is_empty() {
-            return StageOutcome::Advance;
-        }
-        for r in &requests {
-            if let Some(a) = ctx.carve_attempted.get_mut(r.stream) {
-                *a = true;
-            }
-        }
-        ctx.carve_requests = requests;
-        StageOutcome::ReEnter("folding")
     }
+    requests
 }
 
 /// The split test for one fused stream: collect unclaimed residual edges
-/// (the carve stage's `ctx.unowned` mask) along the stream's own channel
+/// (the carve stage's unowned mask) along the stream's own channel
 /// direction, score candidate harmonics by how many residuals sit on the
 /// harmonic's sub-grid, and re-fold the residual train at the winning
 /// sub-period as the evidence record.
 fn evaluate_carve(ctx: &EpochContext<'_>, si: usize) -> Option<CarveRequest> {
-    let unowned: &[bool] = ctx.unowned;
+    let unowned: &[bool] = &ctx.scratch.unowned;
     let ts = ctx.tracked.get(si)?;
     let dir = principal_direction(&ctx.edges, ts)?;
     let span_start = *ts.slot_times.first()?;
@@ -646,11 +502,11 @@ fn principal_direction(edges: &[EdgeEvent], ts: &TrackedStream) -> Option<Comple
     (n > 1e-12).then(|| Complex::new(sum.re / n, sum.im / n))
 }
 
-/// Executes one scheduled carve: re-track the fused stream at the carved
-/// harmonic over the edges no *other* stream owns, with the structural
-/// alias checks suspended (the split test already established the
-/// harmonic structure those checks exist to veto blind). The re-track
-/// replaces the fused track only when it explains materially more edges.
+/// Executes one carve: re-track the fused stream at the carved harmonic
+/// over the edges no *other* stream owns, with the structural alias
+/// checks suspended (the split test already established the harmonic
+/// structure those checks exist to veto blind). The re-track replaces the
+/// fused track only when it explains materially more edges.
 fn apply_carve(ctx: &mut EpochContext<'_>, req: &CarveRequest) {
     let n_matched_before = ctx
         .tracked
@@ -718,19 +574,31 @@ fn retrack_for(ctx: &EpochContext<'_>, req: &CarveRequest) -> Option<TrackedStre
     )
 }
 
-/// Runs the decode graph over one epoch's IQ capture — the single decode
-/// path behind [`crate::pipeline::Decoder`].
+/// Runs one stage execution under its span and the one stopwatch, adding
+/// the measured time into the stage's [`StageTimings`] slot.
+fn timed<T>(per_stage: &mut [Duration; STAGE_COUNT], stage: usize, f: impl FnOnce() -> T) -> T {
+    let span = SpanGuard::enter_measured(SPAN_NAMES[stage]);
+    let t_stage = Instant::now();
+    let out = f();
+    let took = t_stage.elapsed();
+    per_stage[stage] += took;
+    span.exit(took);
+    out
+}
+
+/// Runs the decode over one epoch's IQ capture — the single decode path
+/// behind [`crate::pipeline::Decoder`].
 ///
 /// This is the one instrumented path: the obs context is installed once,
 /// and each stage execution is measured by exactly one stopwatch here.
 /// That measurement accumulates into the stage's [`StageTimings`] slot
-/// (re-entries add into the slot of the stage they re-run) and closes the
-/// execution's span, so the trace ring carries the same durations the
-/// timings report; metrics (from the finished timings, via the
-/// pre-resolved `metrics` handles) and [`DecodeProvenance`] are recorded
-/// once at the end. `scratch` is the caller's reusable buffer set; decode
-/// output is bit-identical to a fresh one (the buffers carry no state
-/// between epochs).
+/// (a carve's re-track adds into folding's slot, and the re-run stages
+/// into their own) and closes the execution's span, so the trace ring
+/// carries the same durations the timings report; metrics (from the
+/// finished timings, via the pre-resolved `metrics` handles) and
+/// [`DecodeProvenance`] are recorded once at the end. `scratch` is the
+/// caller's reusable buffer set; decode output is bit-identical to a
+/// fresh one (the buffers carry no state between epochs).
 ///
 /// Non-finite samples are treated as dropouts and zeroed before the
 /// stages run (under `strict-checks` they panic naming the `input` stage
@@ -765,62 +633,54 @@ pub(crate) fn run(
     // slots stages. Built after sanitization so the sums can never see a
     // non-finite sample; counted in `total` but in no stage slot (epoch
     // setup, not stage work).
-    let DecodeScratch {
-        prefix,
-        msq,
-        select,
-        owner,
-        foreign,
-        unowned,
-        fold_hists,
-    } = scratch;
-    prefix.rebuild(signal);
-    let mut ctx = EpochContext::new(
-        cfg, signal, prefix, msq, select, owner, foreign, unowned, fold_hists,
-    );
+    scratch.prefix.rebuild(signal);
+    let mut ctx = EpochContext {
+        cfg,
+        signal,
+        scratch,
+        edges: Vec::new(),
+        admission: Vec::new(),
+        tracked: Vec::new(),
+        units: Vec::new(),
+        outputs: Vec::new(),
+        carve_attempted: Vec::new(),
+        carves: Vec::new(),
+    };
     let mut per_stage = [Duration::ZERO; STAGE_COUNT];
-    let mut i = 0usize;
+    timed(&mut per_stage, EDGES, || edges(&mut ctx));
+    timed(&mut per_stage, FOLDING, || folding(&mut ctx));
     let mut reentries = 0usize;
-    while i < STAGE_COUNT {
-        let stage = STAGES[i];
-        let span = SpanGuard::enter_measured(stage.span_name());
-        let t_stage = Instant::now();
-        let outcome = stage.run(&mut ctx);
-        let took = t_stage.elapsed();
-        per_stage[i] += took;
-        span.exit(took);
-        match outcome {
-            StageOutcome::Advance => i += 1,
-            StageOutcome::ReEnter(target) => {
-                let back = STAGES.iter().position(|s| s.name() == target);
-                match back {
-                    Some(j) if reentries < MAX_REENTRIES => {
-                        reentries += 1;
-                        i = j;
-                    }
-                    // Unknown target or re-entry budget exhausted: never
-                    // loop, just move on.
-                    _ => i += 1,
-                }
-            }
+    loop {
+        timed(&mut per_stage, SLOTS, || slots(&mut ctx));
+        timed(&mut per_stage, SEPARATION, || separation(&mut ctx));
+        timed(&mut per_stage, DECODE, || decode(&mut ctx));
+        let requests = timed(&mut per_stage, CARVE, || carve(&mut ctx));
+        // Nothing to carve, or the re-run budget is spent: the outputs of
+        // the decode just run stand.
+        if requests.is_empty() || reentries == MAX_REENTRIES {
+            break;
         }
+        reentries += 1;
+        // The re-track is folding work: it goes in folding's slot and span.
+        timed(&mut per_stage, FOLDING, || {
+            for req in &requests {
+                apply_carve(&mut ctx, req);
+            }
+            check_tracked(&ctx.tracked);
+        });
     }
     let timings = StageTimings {
         per_stage,
         total: t_start.elapsed(),
     };
     span_total.exit(timings.total);
-    let n_edges = ctx.edges.len();
-    let n_tracked = ctx.tracked.len();
     let (streams, stream_provs): (Vec<_>, Vec<_>) = ctx.outputs.into_iter().unzip();
     let decode = EpochDecode {
         streams,
-        n_edges,
-        n_tracked,
+        n_edges: ctx.edges.len(),
+        n_tracked: ctx.tracked.len(),
         provenance: DecodeProvenance {
-            n_edges,
-            n_tracked,
-            admission: std::mem::take(&mut ctx.admission),
+            admission: ctx.admission,
             streams: stream_provs,
         },
     };
@@ -830,12 +690,10 @@ pub(crate) fn run(
     (decode, timings)
 }
 
-/// Pre-resolved handles for every metric the graph runner publishes per
-/// epoch. Registering once per worker (instead of looking names up in the
+/// Pre-resolved handles for every metric the runner publishes per epoch.
+/// Registering once per worker (instead of looking names up in the
 /// registry per epoch) removes a mutex, a map walk, and a `String`
-/// allocation per metric from the decode hot path. Metric names are still
-/// derived from the [`STAGES`] array, so a new stage is wired in
-/// automatically.
+/// allocation per metric from the decode hot path.
 ///
 /// All handles are cheap `Arc` clones into the shared registry:
 /// `PipelineMetrics` is `Clone`, and clones aggregate into the same
@@ -865,7 +723,7 @@ impl PipelineMetrics {
             streams_single: obs.counter("pipeline.streams.single"),
             streams_collision: obs.counter("pipeline.streams.collision_member"),
             streams_unresolved: obs.counter("pipeline.streams.unresolved"),
-            stage_ns: std::array::from_fn(|i| obs.histogram(STAGES[i].metric_name())),
+            stage_ns: METRIC_NAMES.map(|name| obs.histogram(name)),
             total_ns: obs.histogram("pipeline.stage.total.ns"),
         }
     }
@@ -896,13 +754,12 @@ mod tests {
 
     #[test]
     fn stage_names_are_unique_and_in_pipeline_order() {
-        let names = stage_names();
         assert_eq!(
-            names,
+            STAGE_NAMES,
             ["edges", "folding", "slots", "separation", "decode", "carve"]
         );
-        for (i, a) in names.iter().enumerate() {
-            for b in names.iter().skip(i + 1) {
+        for (i, a) in STAGE_NAMES.iter().enumerate() {
+            for b in STAGE_NAMES.iter().skip(i + 1) {
                 assert_ne!(a, b);
             }
         }
@@ -910,20 +767,13 @@ mod tests {
 
     #[test]
     fn span_and_metric_names_derive_from_stage_names() {
-        for stage in STAGES {
-            assert_eq!(stage.span_name(), format!("pipeline.{}", stage.name()));
+        for i in 0..STAGE_COUNT {
+            assert_eq!(SPAN_NAMES[i], format!("pipeline.{}", STAGE_NAMES[i]));
             assert_eq!(
-                stage.metric_name(),
-                format!("pipeline.stage.{}.ns", stage.name())
+                METRIC_NAMES[i],
+                format!("pipeline.stage.{}.ns", STAGE_NAMES[i])
             );
         }
-    }
-
-    #[test]
-    fn reenter_target_must_be_a_stage_name() {
-        // The carve stage's re-entry target must resolve, or re-entry
-        // silently degrades to advance and the carve never runs.
-        assert!(STAGES.iter().any(|s| s.name() == "folding"));
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //!    Viterbi decoder with Gaussian IQ emissions corrects missed and
 //!    spurious edges; a hard-decision mode exists for the Fig. 9 ablation.
 //!
-//! [`graph`] wires the stages together as a stage graph over a shared
-//! per-epoch context (with bounded re-entry for the sub-harmonic carve);
-//! [`pipeline`] exposes it behind the [`Decoder`] facade, whose one timed
-//! call takes a caller-owned [`DecodeScratch`]; [`reliability`]
-//! implements the optional reader-side feedback of §3.6 (broadcast
-//! retransmit + network-wide rate backoff).
+//! A private runner calls the stages in that order over a shared
+//! per-epoch context, then a sixth, the sub-harmonic carve, whose one
+//! back edge re-tracks a fused stream and runs stages 3–6 again (a
+//! bounded number of times per epoch); [`pipeline`] exposes it behind the
+//! [`Decoder`] facade, whose one timed call takes a caller-owned
+//! [`DecodeScratch`]; [`reliability`] implements the optional reader-side
+//! feedback of §3.6 (broadcast retransmit + network-wide rate backoff).
 //!
 //! [`lf-tag`]: ../lf_tag/index.html
 
@@ -40,7 +41,7 @@
 pub mod config;
 pub mod decode;
 pub mod edges;
-pub mod graph;
+mod graph;
 pub mod pipeline;
 pub mod provenance;
 pub mod reliability;

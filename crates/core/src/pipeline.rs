@@ -1,14 +1,13 @@
 //! The assembled decode pipeline: IQ capture in, per-tag bit streams out.
 //!
-//! [`Decoder`] is a thin facade over the stage-graph runner in
-//! [`crate::graph`]: [`Decoder::decode_timed_with`] is the one timed entry
-//! point, and [`Decoder::decode`] is the same call on a fresh
-//! [`DecodeScratch`]. Stage sequencing, re-entry, spans, timings, metrics,
-//! and provenance all live in the graph runner; nothing here duplicates
-//! them.
+//! [`Decoder`] is a thin facade over the crate's decode runner:
+//! [`Decoder::decode_timed_with`] is the one timed entry point, and
+//! [`Decoder::decode`] is the same call on a fresh [`DecodeScratch`].
+//! Stage sequencing, the carve's re-run, spans, timings, metrics, and
+//! provenance all live in the runner; nothing here duplicates them.
 
 use crate::config::DecoderConfig;
-use crate::graph::{self, stage_names, PipelineMetrics, STAGE_COUNT};
+use crate::graph::{self, PipelineMetrics, STAGE_COUNT, STAGE_NAMES};
 use crate::provenance::DecodeProvenance;
 use crate::scratch::DecodeScratch;
 use lf_obs::ObsContext;
@@ -64,13 +63,12 @@ pub struct EpochDecode {
 
 /// Wall-clock cost of each pipeline stage for one epoch decode.
 ///
-/// The per-stage slots are derived from the decode graph:
-/// [`StageTimings::names`]`()[i]` labels `per_stage[i]`, so adding a stage
-/// to the graph automatically adds its timing slot — nothing here is
-/// hand-maintained. A re-entered stage accumulates all its executions
-/// into its one slot. The streaming runtime (`lf-reader`) aggregates
-/// these into per-stage latency percentiles; offline users can ignore
-/// them via [`Decoder::decode`].
+/// [`StageTimings::names`]`()[i]` labels `per_stage[i]`, in the order the
+/// decode runs its stages. A stage that runs more than once in an epoch
+/// (the carve's re-run; its re-track counts as folding) accumulates all
+/// its executions into its one slot. The streaming runtime (`lf-reader`)
+/// aggregates these into per-stage latency percentiles; offline users can
+/// ignore them via [`Decoder::decode`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Per-stage wall clock, index-aligned with [`StageTimings::names`].
@@ -80,13 +78,13 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// The graph's stage names, index-aligned with `per_stage`.
+    /// The stage names, index-aligned with `per_stage`.
     pub fn names() -> [&'static str; STAGE_COUNT] {
-        stage_names()
+        STAGE_NAMES
     }
 
-    /// The timing of the named stage, or `None` if the graph has no stage
-    /// of that name.
+    /// The timing of the named stage, or `None` if there is no stage of
+    /// that name.
     pub fn get(&self, name: &str) -> Option<Duration> {
         Self::names()
             .iter()
@@ -94,7 +92,7 @@ impl StageTimings {
             .map(|i| self.per_stage[i])
     }
 
-    /// Iterates `(stage name, duration)` in graph order.
+    /// Iterates `(stage name, duration)` in stage order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Duration)> + '_ {
         Self::names().into_iter().zip(self.per_stage)
     }
@@ -458,7 +456,7 @@ mod tests {
 
     #[test]
     fn decode_and_decode_timed_with_agree() {
-        // Both entry points are the same graph run: the decoded streams
+        // Both entry points are the same runner call: the decoded streams
         // must be identical and the timings self-consistent.
         let setup = build(
             vec![(

@@ -101,8 +101,8 @@ impl FoldProvenance {
 }
 
 /// The sub-harmonic carve attempted on an ambiguously-folded stream: the
-/// graph re-entry that re-folds the unclaimed residual edges at candidate
-/// harmonics and re-tracks the stream at the winning one. An *accepted*
+/// decode's one back edge, which re-folds the unclaimed residual edges at
+/// candidate harmonics and re-tracks the stream at the winning one. An *accepted*
 /// carve is a recovery gate — the fused lock was explained and replaced —
 /// so [`StreamProvenance::failing_stage`] stops naming the folding stage.
 /// A rejected carve leaves the fused lock (and the flag) in place.
@@ -201,8 +201,8 @@ pub struct StreamProvenance {
     pub residual_std: f64,
     /// What the cluster analysis saw.
     pub separation: SeparationProvenance,
-    /// The sub-harmonic carve attempted on this stream, when the graph's
-    /// split test fired (`None` when no carve was attempted).
+    /// The sub-harmonic carve attempted on this stream, when the carve
+    /// stage's split test fired (`None` when no carve was attempted).
     pub carve: Option<CarveProvenance>,
     /// How the anchor bit resolved.
     pub anchor: AnchorOutcome,
@@ -251,10 +251,6 @@ impl StreamProvenance {
 /// [`crate::pipeline::EpochDecode`].
 #[derive(Debug, Clone, Default)]
 pub struct DecodeProvenance {
-    /// Candidate edges detected in stage 1.
-    pub n_edges: usize,
-    /// Streams locked by the folder/tracker in stage 2.
-    pub n_tracked: usize,
     /// Admission-cascade rejections: work the cheap bounds proved
     /// fruitless and skipped, in the order the gates fired. Bounded by
     /// (gather rounds × rate plan size) + the epoch-level gates.
@@ -391,8 +387,6 @@ mod tests {
             ..StreamProvenance::default()
         };
         let prov = DecodeProvenance {
-            n_edges: 10,
-            n_tracked: 2,
             admission: Vec::new(),
             streams: vec![clean, broken],
         };
@@ -453,8 +447,6 @@ mod tests {
         // Admission records attribute *skipped* work; they are not stream
         // anomalies and must not flip a clean epoch to failing.
         let prov = DecodeProvenance {
-            n_edges: 2,
-            n_tracked: 0,
             admission: vec![AdmissionRecord {
                 gate: AdmissionGate::EpochEdgeCount,
                 round: 0,

@@ -8,7 +8,7 @@
 //! alias the tracker rejects), so both collapse onto the shared 5 kbps
 //! sub-harmonic.
 //!
-//! What the stage graph adds: real payloads are not *pure* stride
+//! What the carve adds: real payloads are not *pure* stride
 //! patterns. The sparse data bits that break the stride put edges at
 //! sub-grid positions the 5 kbps lock cannot explain — those residuals
 //! are the carve's evidence. The carve stage re-folds them at candidate
@@ -25,8 +25,9 @@
 use lf_channel::air::{synthesize, AirConfig, TagAir};
 use lf_channel::dynamics::StaticChannel;
 use lf_core::config::DecoderConfig;
-use lf_core::pipeline::Decoder;
-use lf_core::provenance::DecodeProvenance;
+use lf_core::pipeline::{Decoder, EpochDecode, StageTimings};
+use lf_core::DecodeScratch;
+use lf_obs::{ObsContext, RecordKind};
 use lf_tag::clock::ClockModel;
 use lf_tag::comparator::Comparator;
 use lf_tag::tag::{LfTag, TagConfig};
@@ -143,10 +144,14 @@ fn recovered(
     })
 }
 
-fn assert_fusion_context_recorded(prov: &DecodeProvenance, n_streams: usize) {
-    assert!(prov.n_edges > 100, "edge count missing: {}", prov.n_edges);
-    assert_eq!(prov.n_tracked, n_streams);
-    assert_eq!(prov.streams.len(), n_streams);
+fn assert_fusion_context_recorded(decode: &EpochDecode, n_streams: usize) {
+    assert!(
+        decode.n_edges > 100,
+        "edge count missing: {}",
+        decode.n_edges
+    );
+    assert_eq!(decode.n_tracked, n_streams);
+    assert_eq!(decode.provenance.streams.len(), n_streams);
 }
 
 #[test]
@@ -164,7 +169,7 @@ fn fused_subharmonic_streams_are_carved_and_decoded() {
         vec![10_000.0, 15_000.0],
         "carve did not split the fusion: {prov:?}"
     );
-    assert_fusion_context_recorded(prov, decode.streams.len());
+    assert_fusion_context_recorded(&decode, decode.streams.len());
 
     // Payloads round-trip. A track starts at its first detected edge, so
     // each decode begins where its tag first toggles: slot 4 for tag A
@@ -214,6 +219,67 @@ fn fused_subharmonic_streams_are_carved_and_decoded() {
 }
 
 #[test]
+fn carve_rerun_spans_follow_the_runner_order() {
+    // Big enough that no record of the decode is overwritten.
+    let obs = ObsContext::with_ring_capacity(1 << 16);
+    let decoder = Decoder::with_obs(cfg(), obs.clone());
+    let (decode, timings) =
+        decoder.decode_timed_with(&synthesize_pair(), &mut DecodeScratch::default());
+    assert!(
+        decode
+            .provenance
+            .streams
+            .iter()
+            .any(|sp| sp.carve.as_ref().is_some_and(|c| c.accepted)),
+        "no carve accepted: {:?}",
+        decode.provenance
+    );
+
+    // The stage span exits, in the order the trace ring recorded them.
+    let trace = obs.recent_trace();
+    assert_eq!(trace.first().map(|r| r.seq), Some(0), "trace ring wrapped");
+    let names = StageTimings::names();
+    let exits: Vec<(&str, u64)> = trace
+        .iter()
+        .filter_map(|r| {
+            let stage = r.path.strip_prefix("pipeline.total.pipeline.")?;
+            let name = names.into_iter().find(|&n| n == stage)?;
+            match r.kind {
+                RecordKind::SpanExit { dur_ns } => Some((name, dur_ns)),
+                _ => None,
+            }
+        })
+        .collect();
+    let order: Vec<&str> = exits.iter().map(|&(n, _)| n).collect();
+    assert_eq!(
+        order,
+        [
+            "edges",
+            "folding",
+            "slots",
+            "separation",
+            "decode",
+            "carve",
+            "folding",
+            "slots",
+            "separation",
+            "decode",
+            "carve",
+        ]
+    );
+    // The re-run adds into the slots of the stages it ran again.
+    for (i, name) in names.iter().enumerate() {
+        let span_ns: u64 = exits
+            .iter()
+            .filter(|(n, _)| n == name)
+            .map(|&(_, d)| d)
+            .sum();
+        let slot_ns = u64::try_from(timings.per_stage[i].as_nanos()).unwrap();
+        assert_eq!(span_ns, slot_ns, "{name} spans");
+    }
+}
+
+#[test]
 fn pure_stride_fusion_stays_flagged_not_decoded() {
     // Pure stride patterns are waveform-identical to genuine 5 kbps tags:
     // there are no residual edges to carve, so the honest outcome is the
@@ -237,7 +303,7 @@ fn pure_stride_fusion_stays_flagged_not_decoded() {
             s.rate_bps
         );
     }
-    assert_fusion_context_recorded(prov, decode.streams.len());
+    assert_fusion_context_recorded(&decode, decode.streams.len());
 
     // Each 5 kbps lock must record the ambiguous fold: its peak has a
     // rival of comparable weight (the *other* tag's edge train in the

@@ -8,8 +8,7 @@
 //! We fold *edge events* (sparse, already extracted) rather than every raw
 //! sample: it is mathematically the same accumulation restricted to the
 //! samples that carry edge energy, and it keeps the stream search fast even
-//! at 25 Msps. Folding the raw edge-strength series is also provided for
-//! completeness and for the spurious-edge ablation.
+//! at 25 Msps.
 
 /// A folded histogram: accumulated strength per offset bin over one period.
 #[derive(Debug, Clone)]
@@ -291,25 +290,6 @@ impl FoldTable {
     }
 }
 
-/// Folds a dense strength series (one value per sample) at `period` samples.
-pub fn fold_series(series: &[f64], period: f64, nbins: usize) -> FoldedHistogram {
-    assert!(period > 0.0, "period must be positive");
-    assert!(nbins > 0, "need at least one bin");
-    let mut bins = vec![0.0; nbins];
-    let mut counts = vec![0usize; nbins];
-    for (t, &v) in series.iter().enumerate() {
-        let phase = (t as f64).rem_euclid(period) / period;
-        let bin = ((phase * nbins as f64) as usize).min(nbins - 1);
-        bins[bin] += v;
-        counts[bin] += 1;
-    }
-    FoldedHistogram {
-        bins,
-        counts,
-        period,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     // Tests assert bit-exact values deliberately: the arithmetic under test
@@ -365,17 +345,6 @@ mod tests {
         let peaks = h.peaks(5.0, 5);
         assert_eq!(peaks.len(), 1);
         assert_eq!(peaks[0].0, 0);
-    }
-
-    #[test]
-    fn series_folding_matches_event_folding() {
-        let mut series = vec![0.0; 1000];
-        for k in 0..10 {
-            series[37 + 100 * k] = 2.0;
-        }
-        let h = fold_series(&series, 100.0, 100);
-        assert_eq!(h.bins[37], 20.0);
-        assert_eq!(h.counts.iter().sum::<usize>(), 1000);
     }
 
     #[test]

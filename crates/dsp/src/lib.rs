@@ -7,10 +7,10 @@
 //!
 //! * [`stats`] — running moments, 2-D Gaussian fits (Viterbi emissions,
 //!   §3.5), the Q-function used for analytic BER curves (Fig. 14).
-//! * [`kmeans`] — k-means++ clustering over IQ points plus model selection
-//!   between cluster counts (collision detection, §3.3 "performing k-means
-//!   clustering and determining the best fit in terms of number of
-//!   clusters").
+//! * [`kmeans`](mod@kmeans) — k-means++ clustering over IQ points plus
+//!   model selection between cluster counts (collision detection, §3.3
+//!   "performing k-means clustering and determining the best fit in terms
+//!   of number of clusters").
 //! * [`geometry`] — collinearity tests and the 9-centroid parallelogram
 //!   solver that recovers the two edge vectors of a 2-tag collision (§3.4,
 //!   Fig. 5).
@@ -28,7 +28,8 @@
 //!   boundary under the `strict-checks` feature (no-ops otherwise).
 //! * [`simd`] — the runtime-dispatched AVX-512 nearest-centroid kernel
 //!   over structure-of-arrays slices, with a bit-identical scalar
-//!   fallback (DESIGN.md §15).
+//!   fallback; the dispatch is the only switch, there is no cargo feature
+//!   (DESIGN.md §15).
 
 // `deny`, not `forbid`: the `simd` module opts back in locally for the
 // vendor intrinsics behind its runtime feature detection; everything else

@@ -19,11 +19,10 @@
 //! `simd_equivalence` proptests and asserted again by the golden decode
 //! digest. Backend selection can therefore never change a decode.
 //!
-//! Selection order: the `simd` cargo feature must be on (default), the
-//! target must be x86_64, the build must not be under Miri (Miri cannot
-//! execute vendor intrinsics), the process-wide scalar override must be
-//! off, and `avx512f` must be detected at runtime. Anything else runs the
-//! scalar fallback.
+//! Selection order: the target must be x86_64, the build must not be
+//! under Miri (Miri cannot execute vendor intrinsics), the process-wide
+//! scalar override must be off, and `avx512f` must be detected at
+//! runtime. Anything else runs the scalar fallback.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -54,7 +53,7 @@ pub enum Backend {
 
 /// Resolves the backend the kernel will use for the current call.
 pub fn active_backend() -> Backend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         // ordering: Relaxed suffices — the flag guards no other memory;
         // either backend produces bit-identical outputs, so a stale read
@@ -92,7 +91,7 @@ pub fn nearest_centroid_into(
         return;
     }
     match active_backend() {
-        #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
         Backend::Avx512f => x86::nearest_centroid(pre, pim, cre, cim, idx, dist),
         _ => nearest_centroid_scalar(pre, pim, cre, cim, idx, dist),
     }
@@ -129,7 +128,7 @@ fn nearest_centroid_scalar(
 
 /// AVX-512F variant. The loop performs the same IEEE operations as its
 /// scalar reference, lane by lane; the tail re-enters the scalar spelling.
-#[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 #[allow(unsafe_code)]
 mod x86 {
     use core::arch::x86_64::{

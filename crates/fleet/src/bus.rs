@@ -102,11 +102,6 @@ impl FrameBus {
         Subscription { queue }
     }
 
-    /// Current subscriber count.
-    pub fn subscriber_count(&self) -> usize {
-        recover(self.subs.lock()).queues.len()
-    }
-
     /// Publishes one frame to every subscriber, exactly once each, under
     /// the bus's backpressure policy. Under `Block` a full subscriber
     /// queue blocks the publish (and with it the coordinator — lossless
@@ -252,7 +247,6 @@ mod tests {
         assert!(late.recv().is_none());
         // Publishing after close reaches nobody.
         assert_eq!(bus.publish(&frame(1)).delivered, 0);
-        assert_eq!(bus.subscriber_count(), 0);
     }
 
     #[test]

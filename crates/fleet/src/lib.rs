@@ -79,7 +79,5 @@ pub mod source;
 pub use bus::{DeliveredFrame, FrameBus, PublishOutcome, Subscription};
 pub use dedup::{Claim, DedupRegistry, DeliveryProvenance, ReaderId, WinReason};
 pub use identity::{ExtractedFrame, FrameExtractor, FrameId};
-pub use runtime::{
-    FleetConfig, FleetDiag, FleetReport, FleetRuntime, FleetStats, ReaderContribution,
-};
+pub use runtime::{FleetConfig, FleetReport, FleetRuntime, FleetStats, ReaderContribution};
 pub use source::realized_sources;

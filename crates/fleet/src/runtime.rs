@@ -11,9 +11,10 @@
 //! One coordinator thread polls every reader with the non-blocking
 //! [`ReaderRuntime::try_recv`] (no thread per reader), extracts
 //! CRC-verified frames from each decode, claims their content-addressed
-//! [`FrameId`]s in the [`DedupRegistry`], and publishes each winning
-//! claim to the [`FrameBus`] — so every over-the-air frame reaches every
-//! subscriber exactly once no matter how many antennas decoded it.
+//! [`FrameId`](crate::FrameId)s in the [`DedupRegistry`], and publishes
+//! each winning claim to the [`FrameBus`] — so every over-the-air frame
+//! reaches every subscriber exactly once no matter how many antennas
+//! decoded it.
 //!
 //! Coordination is clock-free by construction: frame identity is content
 //! plus carrier structure (see [`crate::identity`]), ordering ticks are
@@ -27,9 +28,10 @@ use crate::dedup::{Claim, DedupRegistry, DeliveryProvenance, ReaderId};
 use crate::identity::FrameExtractor;
 use lf_core::config::DecoderConfig;
 use lf_core::pipeline::Decoder;
-use lf_obs::{Counter, FlightRecorder, Histogram, ObsContext, TagLedger};
+use lf_obs::{Counter, Histogram, ObsContext, TagLedger};
 use lf_reader::{
-    Backpressure, EpochDecoder, EpochReport, IqSource, ReaderRuntime, RuntimeConfig, RuntimeStats,
+    Backpressure, DiagSinks, EpochDecoder, EpochReport, IqSource, ReaderRuntime, RuntimeConfig,
+    RuntimeStats,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,7 +42,13 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Per-reader runtime template (workers, queues, segmenter, reader
-    /// backpressure). Every reader gets an identical copy.
+    /// backpressure, diagnosis sinks). Every reader gets an identical
+    /// copy, except that `diag.reader` becomes its fleet index: the
+    /// readers observe into the shared ledger and flight recorder under
+    /// that index, and the coordinator records every CRC-verified
+    /// delivery in the ledger (winners *and* suppressed duplicates — the
+    /// ledger's per-reader rows count what each antenna actually
+    /// decoded).
     pub reader: RuntimeConfig,
     /// Capacity of each subscriber's delivery queue.
     pub bus_capacity: usize,
@@ -52,24 +60,10 @@ pub struct FleetConfig {
     pub poll_park: Duration,
     /// How frames are recovered from decoded slot streams.
     pub extractor: FrameExtractor,
-    /// Fleet-level diagnosis wiring (ledger, flight recorder, triggers).
-    pub diag: FleetDiag,
-}
-
-/// Diagnosis wiring for a fleet, all optional. When a ledger is present
-/// every reader observes its epoch outcomes and stream verdicts into it
-/// under its fleet reader index, and the coordinator records every
-/// CRC-verified delivery (winners *and* suppressed duplicates — the
-/// ledger's per-reader rows count what each antenna actually decoded).
-#[derive(Debug, Clone, Default)]
-pub struct FleetDiag {
-    /// Shared delivery ledger; rows are keyed by fleet reader index.
-    pub ledger: Option<Arc<TagLedger>>,
-    /// Shared flight recorder; every reader records into it.
-    pub flight: Option<Arc<FlightRecorder>>,
-    /// Fleet delivery-ratio floor. When set (and a ledger and flight
-    /// recorder are both wired), the coordinator triggers a black-box
-    /// dump at drain end for each rate class delivered below the floor.
+    /// Fleet delivery-ratio floor. When set (and `reader.diag` wires both
+    /// a ledger and a flight recorder), the coordinator triggers a
+    /// black-box dump at drain end for each rate class delivered below
+    /// the floor.
     pub min_delivery_ratio: Option<f64>,
 }
 
@@ -94,7 +88,7 @@ impl FleetConfig {
             // workers' cores without adding visible delivery latency.
             poll_park: Duration::from_micros(500),
             extractor,
-            diag: FleetDiag::default(),
+            min_delivery_ratio: None,
         }
     }
 }
@@ -231,8 +225,6 @@ impl FleetRuntime {
                 // Each reader observes into the shared ledger and flight
                 // recorder under its own fleet index.
                 let mut reader_cfg = cfg.reader.clone();
-                reader_cfg.diag.ledger = cfg.diag.ledger.clone();
-                reader_cfg.diag.flight = cfg.diag.flight.clone();
                 reader_cfg.diag.reader = k;
                 ReaderRuntime::spawn(src, Arc::clone(&decoder), &reader_cfg)
             })
@@ -245,12 +237,13 @@ impl FleetRuntime {
             let stop = Arc::clone(&stop);
             let extractor = cfg.extractor.clone();
             let park = cfg.poll_park;
-            let diag = cfg.diag.clone();
+            let diag = cfg.reader.diag.clone();
+            let floor = cfg.min_delivery_ratio;
             let obs = obs.clone();
             std::thread::spawn(move || {
                 let _obs_guard = obs.install();
                 coordinate(
-                    readers, &extractor, &registry, &bus, &shared, &diag, &stop, park,
+                    readers, &extractor, &registry, &bus, &shared, &diag, floor, &stop, park,
                 )
             })
         };
@@ -364,7 +357,8 @@ fn coordinate(
     registry: &DedupRegistry,
     bus: &FrameBus,
     shared: &FleetShared,
-    diag: &FleetDiag,
+    diag: &DiagSinks,
+    min_delivery_ratio: Option<f64>,
     stop: &AtomicBool,
     park: Duration,
 ) -> Vec<RuntimeStats> {
@@ -413,7 +407,7 @@ fn coordinate(
     // Delivery ratios are only final at drain end too: check the floor
     // and snapshot a black box while the flight ring still holds the run.
     if let (Some(ledger), Some(flight), Some(floor)) =
-        (&diag.ledger, &diag.flight, diag.min_delivery_ratio)
+        (&diag.ledger, &diag.flight, min_delivery_ratio)
     {
         for c in &ledger.summary().classes {
             if c.delivery_ratio() < floor {

@@ -161,9 +161,9 @@ fn lossy_fleet_ledger_conserves_with_zero_unattributed() {
         &scenario.decoder_config(),
         FrameExtractor::for_scenario(&scenario),
     );
-    cfg.diag.ledger = Some(Arc::clone(&ledger));
-    cfg.diag.flight = Some(Arc::clone(&flight));
-    cfg.diag.min_delivery_ratio = Some(1.0 + f64::EPSILON); // any miss triggers
+    cfg.reader.diag.ledger = Some(Arc::clone(&ledger));
+    cfg.reader.diag.flight = Some(Arc::clone(&flight));
+    cfg.min_delivery_ratio = Some(1.0 + f64::EPSILON); // any miss triggers
 
     let (fleet, mut subs) = FleetRuntime::spawn_decoder(
         sources,
@@ -222,7 +222,7 @@ fn per_reader_ledgers_merge_to_the_aggregate() {
         &scenario.decoder_config(),
         FrameExtractor::for_scenario(&scenario),
     );
-    cfg.diag.ledger = Some(Arc::clone(&ledger));
+    cfg.reader.diag.ledger = Some(Arc::clone(&ledger));
 
     let (fleet, mut subs) = FleetRuntime::spawn_decoder(
         sources,

@@ -12,7 +12,8 @@
 //! and `LF_OBS_TRACE=trace.json cargo run --example fleet` drops a file
 //! you can open in <https://ui.perfetto.dev> for a stage-timeline
 //! flamegraph (one `pipeline.<stage>` span per stage execution, nested
-//! under `pipeline.total`).
+//! under `pipeline.total`; an epoch whose carve re-ran the decode shows
+//! folding through carve twice).
 
 use crate::context::ObsContext;
 use crate::trace::{RecordKind, TraceRecord};

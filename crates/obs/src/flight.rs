@@ -4,8 +4,8 @@
 //! Runtimes push one [`FlightRecord`] per decoded/dropped/faulted epoch
 //! (provenance summary, stage timings, queue depths at decode time) into
 //! the ring; the ring retains the most recent `capacity` records and
-//! forgets the rest. On a *trigger* — an anomalous epoch, a
-//! delivery-ratio breach, a contained worker panic — the recorder
+//! forgets the rest. On a *trigger* — a delivery-ratio breach, a
+//! contained worker panic — the recorder
 //! serializes everything it holds, plus every trigger reason so far,
 //! into one JSON string. The dump is a pure function of the recorded
 //! data: feed the same records and reasons in the same order and the

@@ -19,7 +19,8 @@
 //! every frame), `delivered` is what a reader actually decoded (distinct
 //! payload digests, so re-decodes never double count), and every
 //! expected-but-undelivered frame is attributed to a named stage via the
-//! per-epoch outcome and [`failing_stage`] feed:
+//! per-epoch outcome and `lf_core::DecodeProvenance::failing_stage()`
+//! feed:
 //!
 //! * `epoch-dropped` / `epoch-faulted` — the epoch never decoded
 //!   (backpressure shed or a contained worker panic);
@@ -33,8 +34,6 @@
 //! `unattributed` stays for misses in epochs the wiring never reported
 //! an outcome for: a non-zero value means a diagnosis gap, not a decode
 //! loss, and CI fails on it.
-//!
-//! [`failing_stage`]: https://docs.rs/ — see `lf_core::DecodeProvenance::failing_stage`
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};

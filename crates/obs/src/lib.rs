@@ -7,13 +7,13 @@
 //! * **Metrics** — a [`MetricsRegistry`] of named [`Counter`]s (sharded
 //!   across cache lines for worker pools), [`Gauge`]s, and log-bucketed
 //!   [`Histogram`]s; readable as a point-in-time [`Snapshot`] and
-//!   exportable as Prometheus text or JSON lines.
+//!   exportable as Prometheus text.
 //! * **Tracing** — [`span!`]/[`event!`] macros recording into a
 //!   fixed-size ring via a thread-local [`ObsContext`], so DSP kernels
 //!   trace without signature plumbing. Self-timed span exits feed
 //!   `span.<name>.ns` histograms; caller-timed spans
 //!   ([`SpanGuard::enter_measured`]) carry a duration measured elsewhere
-//!   — the decode stage graph's, whose one stage-latency family is
+//!   — the `lf_core` decode runner's, whose one stage-latency family is
 //!   `pipeline.stage.*`.
 //! * **Context** — [`ObsContext`] ties the two together and travels with
 //!   a decoder; [`ObsContext::disabled`] is a `None` whose every
@@ -27,8 +27,8 @@
 //!   class, epoch, and reader, attributing every miss to a pipeline
 //!   stage ([`LossAttribution`]) under a conservation invariant;
 //! * [`FlightRecorder`] — a bounded ring of per-epoch records that dumps
-//!   a deterministic JSON black box on trigger (anomalous epoch,
-//!   delivery-ratio breach, worker panic);
+//!   a deterministic JSON black box on trigger (delivery-ratio breach,
+//!   worker panic);
 //! * [`chrome_trace_json`] — Chrome trace-event export of the span ring
 //!   (`LF_OBS_TRACE=trace.json`, loadable in Perfetto).
 //!

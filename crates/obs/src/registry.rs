@@ -10,8 +10,7 @@
 //! for monitoring).
 //!
 //! A [`Snapshot`] is a point-in-time copy of every metric, exportable as
-//! Prometheus text ([`Snapshot::to_prometheus`]) or JSON lines
-//! ([`Snapshot::to_json_lines`]).
+//! Prometheus text ([`Snapshot::to_prometheus`]).
 
 use crate::histogram::{HistogramCore, HistogramSnapshot};
 use std::collections::BTreeMap;
@@ -288,23 +287,6 @@ fn prom_name(name: &str) -> String {
         .collect()
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Snapshot {
     /// Looks a metric up by name.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
@@ -347,44 +329,6 @@ impl Snapshot {
                     out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
                     out.push_str(&format!("{name}_sum {}\n", h.sum));
                     out.push_str(&format!("{name}_count {}\n", h.count));
-                }
-            }
-        }
-        out
-    }
-
-    /// Renders the snapshot as JSON lines: one self-contained JSON object
-    /// per metric per line (histograms carry count/sum/min/max and the
-    /// standard quantiles rather than raw buckets).
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for m in &self.metrics {
-            let name = json_escape(&m.name);
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{name}\",\"type\":\"counter\",\"value\":{v}}}\n"
-                    ));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{name}\",\"type\":\"gauge\",\"value\":{v}}}\n"
-                    ));
-                }
-                MetricValue::Histogram(h) => {
-                    let q = |p: f64| h.quantile(p).unwrap_or(0);
-                    out.push_str(&format!(
-                        "{{\"name\":\"{name}\",\"type\":\"histogram\",\
-                         \"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                         \"p50\":{},\"p90\":{},\"p99\":{}}}\n",
-                        h.count,
-                        h.sum,
-                        if h.count == 0 { 0 } else { h.min },
-                        h.max,
-                        q(0.5),
-                        q(0.9),
-                        q(0.99),
-                    ));
                 }
             }
         }
@@ -496,21 +440,6 @@ mod tests {
             .unwrap();
         assert_eq!(inf, count, "+Inf bucket must equal _count");
         assert_eq!(buckets.last().copied(), Some(count));
-    }
-
-    #[test]
-    fn json_lines_are_one_object_per_metric() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a").inc();
-        reg.histogram("h").record(10);
-        let jl = reg.snapshot().to_json_lines();
-        let lines: Vec<&str> = jl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for l in lines {
-            assert!(l.starts_with('{') && l.ends_with('}'), "bad line {l}");
-        }
-        assert!(jl.contains("\"type\":\"histogram\""));
-        assert!(jl.contains("\"p50\":10"));
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! the registry histogram `span.<name>.ns`. A span opened with
 //! [`SpanGuard::enter_measured`] is timed by its caller instead: it reads
 //! no clock and feeds no histogram, and its exit record carries the
-//! duration handed to [`SpanGuard::exit`]. The decode stage graph
-//! (`lf_core::graph`) opens its `pipeline.<stage>` and `pipeline.total`
-//! spans that way, so the trace ring carries exactly the durations the
+//! duration handed to [`SpanGuard::exit`]. The decode runner in
+//! `lf_core` opens its `pipeline.<stage>` and `pipeline.total` spans that
+//! way, so the trace ring carries exactly the durations the
 //! runner's one stopwatch measured and the stage latencies have a single
 //! histogram family (`pipeline.stage.*`). The span tree still mirrors the
 //! pipeline's real shape.

@@ -4,8 +4,9 @@
 //! The workspace builds in hermetic environments with no crates.io
 //! access, so the real `proptest` crate is unavailable. This crate
 //! implements the slice of its API the test suites use — the
-//! [`proptest!`] macro, `prop_assert*` / `prop_assume!`, [`Strategy`]
-//! ranges and tuples, `collection::vec`, `sample::{Index, select}`, and
+//! [`proptest!`] macro, `prop_assert*` / `prop_assume!`,
+//! [`Strategy`](strategy::Strategy) ranges and tuples, `collection::vec`,
+//! `sample::{Index, select}`, and
 //! `any::<T>()` — and is aliased to the name `proptest` in the workspace
 //! manifest so the test files read identically to upstream.
 //!
@@ -148,7 +149,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng as _;
 
-    /// Sizes accepted by [`vec`]: an exact `usize` or a `Range<usize>`.
+    /// Sizes accepted by [`vec()`]: an exact `usize` or a `Range<usize>`.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn draw(&self, rng: &mut StdRng) -> usize;

@@ -143,21 +143,15 @@ pub struct DiagSinks {
     /// This runtime's reader index in the ledger rows and flight records
     /// (0 for a standalone reader; `lf-fleet` assigns distinct indices).
     pub reader: usize,
-    /// Also trigger a black-box dump when a decoded epoch carries a
-    /// provenance anomaly (off by default: anomalies are common under
-    /// deliberate collisions and the ring still retains them).
-    pub trigger_on_anomaly: bool,
 }
 
 impl DiagSinks {
-    /// Ledger + flight recorder for reader index `reader`, anomaly
-    /// trigger off.
+    /// Ledger + flight recorder for reader index `reader`.
     pub fn new(ledger: Arc<TagLedger>, flight: Arc<FlightRecorder>, reader: usize) -> Self {
         DiagSinks {
             ledger: Some(ledger),
             flight: Some(flight),
             reader,
-            trigger_on_anomaly: false,
         }
     }
 
@@ -182,7 +176,6 @@ impl DiagSinks {
             }
         }
         if let Some(flight) = &self.flight {
-            let anomaly = decode.provenance.failing_stage();
             let mut stage_ns: Vec<(&'static str, u64)> = timings
                 .iter()
                 .map(|(name, d)| (name, nanos_of(d)))
@@ -192,7 +185,7 @@ impl DiagSinks {
                 reader: self.reader,
                 seq,
                 outcome: "decoded",
-                failing_stage: anomaly,
+                failing_stage: decode.provenance.failing_stage(),
                 streams: decode.streams.len(),
                 edges: decode.n_edges,
                 stage_ns,
@@ -200,11 +193,6 @@ impl DiagSinks {
                 results_depth,
                 detail: String::new(),
             });
-            if self.trigger_on_anomaly {
-                if let Some(stage) = anomaly {
-                    let _ = flight.trigger(&format!("anomalous epoch {seq}: {stage}"));
-                }
-            }
         }
     }
 

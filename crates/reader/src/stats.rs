@@ -12,9 +12,9 @@
 //! [`RuntimeStats`] is a self-consistent-enough snapshot for a poll loop
 //! — the runtime keeps serving while it is taken.
 //!
-//! The per-stage breakdown is derived from the decode graph itself
-//! ([`StageTimings::names`]), so a stage added to `lf_core::graph` shows
-//! up here without this file changing.
+//! The per-stage breakdown takes its labels from the decoder
+//! ([`StageTimings::names`]), so a stage added to `lf_core`'s decode
+//! runner shows up here without this file changing.
 
 use lf_core::pipeline::StageTimings;
 use lf_core::STAGE_COUNT;
@@ -201,7 +201,7 @@ impl LatencySummary {
 /// one entry per decode-graph stage, in execution order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageLatencies {
-    /// One summary per decode stage, in graph order.
+    /// One summary per decode stage, in stage order.
     pub per_stage: [LatencySummary; STAGE_COUNT],
     /// Whole-epoch decode.
     pub total: LatencySummary,

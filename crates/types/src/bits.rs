@@ -27,13 +27,6 @@ impl BitVec {
         }
     }
 
-    /// Creates a bit vector from a slice of bools.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        BitVec {
-            bits: bits.to_vec(),
-        }
-    }
-
     /// Creates a bit vector from a slice of bytes, MSB of `bytes[0]` first.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         let mut bits = Vec::with_capacity(bytes.len() * 8);

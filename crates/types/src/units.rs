@@ -103,12 +103,6 @@ impl SampleRate {
         self.0
     }
 
-    /// The sample period in seconds.
-    #[inline]
-    pub fn sample_period(self) -> Duration {
-        Duration::from_secs(1.0 / self.0)
-    }
-
     /// Converts a duration to a (fractional) number of samples.
     #[inline]
     pub fn samples_in(self, d: Duration) -> f64 {

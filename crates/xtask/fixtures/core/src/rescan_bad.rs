@@ -1,7 +1,6 @@
 // Fixture for tests/meta.rs: production code rebuilding the per-epoch
-// prefix-sum table instead of borrowing the one the stage graph built.
-// Never compiled. (This file stands in for any core file *other than*
-// graph.rs, whose epoch setup is the sanctioned build site.)
+// prefix-sum table instead of borrowing the one the decode runner built.
+// Never compiled.
 
 fn rescans_the_epoch(signal: &[Complex]) -> Complex {
     let sums = PrefixSums::new(signal);

@@ -28,15 +28,17 @@
 //! * [`Rule::NoStageBypass`] — library code outside `lf-core` never calls
 //!   the decode pipeline's stage internals (`detect_edges`,
 //!   `find_streams`, `slot_differentials`, `analyze_slots`,
-//!   `decode_single`, …) directly. The stage graph (`lf_core::graph`,
-//!   behind the `Decoder` facade) is the only sanctioned composition: it owns stage ordering, re-entry,
-//!   and the single instrumentation point, so a hand-rolled pipeline
-//!   silently loses provenance, spans, and the sub-harmonic carve.
+//!   `decode_single`, …) directly. The decode runner (`lf_core`'s private
+//!   `graph` module, behind the `Decoder` facade) is the only sanctioned
+//!   composition: it owns stage order, the carve's re-run, and the single
+//!   instrumentation point, so a hand-rolled pipeline silently loses
+//!   provenance, spans, and the sub-harmonic carve.
 //!   Binaries, examples, and benches own their own experiments and are
 //!   exempt; simulation experiments that deliberately measure one stage
 //!   in isolation carry explicit waivers.
-//! * [`Rule::NoEpochRescan`] — `PrefixSums::new` runs once per epoch, in
-//!   the stage graph's epoch setup (`lf_core::graph`). The prefix-sum
+//! * [`Rule::NoEpochRescan`] — no production code calls
+//!   `PrefixSums::new`: the decode runner's epoch setup rebuilds the
+//!   caller's table in place (`PrefixSums::rebuild`). The prefix-sum
 //!   table is O(samples) to build and is *the* shared input of the edges
 //!   and slots stages; a stage (or any other production code) that builds
 //!   its own re-scans the whole epoch and silently reintroduces the
@@ -113,7 +115,7 @@ pub enum Rule {
     /// Direct call of a decode-stage internal from library code outside
     /// `lf-core`.
     NoStageBypass,
-    /// `PrefixSums::new` outside the stage graph's epoch setup.
+    /// `PrefixSums::new` in production code.
     NoEpochRescan,
     /// Ranked mutexes acquired inner-before-outer within one function.
     LockOrdering,
@@ -235,7 +237,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 struct Scope {
     time_cast: bool,
     stage_bypass: bool,
-    epoch_rescan: bool,
     wallclock: bool,
     unattributed_drop: bool,
 }
@@ -255,11 +256,8 @@ fn scope_of(root: &Path, file: &Path) -> Scope {
         // lf-types owns the sanctioned index/time conversion helpers.
         time_cast: !in_types,
         // lf-core composes its own stages; binaries/examples run their
-        // own experiments. Everything else goes through the graph.
+        // own experiments. Everything else goes through `Decoder`.
         stage_bypass: !in_core && !is_bin,
-        // The stage graph's epoch setup is the one sanctioned build site
-        // of the per-epoch prefix sums.
-        epoch_rescan: !(in_core && rel.ends_with("graph.rs")),
         // The fleet's dedup/delivery ordering is clock-free by contract;
         // benches and examples timing the fleet from outside are not.
         wallclock: rel.contains("fleet/src"),
@@ -342,15 +340,14 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                     message: format!(
                         "`{}` is a decode-stage internal; compose stages \
                          through `Decoder` so ordering, re-entry, and \
-                         provenance are owned by the stage graph",
+                         provenance are owned by the decode runner",
                         what.trim_end_matches('(')
                     ),
                 });
             }
         }
 
-        if scope.epoch_rescan
-            && !waived(comment, Rule::NoEpochRescan)
+        if !waived(comment, Rule::NoEpochRescan)
             && !trimmed.starts_with("//")
             && has_epoch_rescan(code)
         {
@@ -359,7 +356,7 @@ fn lint_file(root: &Path, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 line: lineno,
                 rule: Rule::NoEpochRescan,
                 message: "`PrefixSums::new` re-scans the whole epoch; the \
-                          stage graph builds the table once per epoch and \
+                          decode runner builds the table once per epoch and \
                           shares it — take a `&PrefixSums` (or reuse a \
                           `DecodeScratch`) instead"
                     .into(),
@@ -552,10 +549,10 @@ fn find_as_cast(code: &str) -> Option<usize> {
     code.find(" as ").map(|rel| rel + 1)
 }
 
-/// The decode pipeline's stage entry points: only `lf-core`'s stage graph
-/// composes these. Each probe carries its call paren so a mention in a
-/// path or doc string never fires, and the prefix check below rejects
-/// matches inside longer identifiers.
+/// The decode pipeline's stage entry points: only `lf-core`'s decode
+/// runner composes these. Each probe carries its call paren so a mention
+/// in a path or doc string never fires, and the prefix check below
+/// rejects matches inside longer identifiers.
 const STAGE_INTERNALS: &[&str] = &[
     "detect_edges(",
     "find_streams(",
@@ -565,7 +562,6 @@ const STAGE_INTERNALS: &[&str] = &[
     "analyze_slots_with(",
     "decode_single(",
     "decode_single_traced(",
-    "decode_member(",
     "decode_member_traced(",
 ];
 

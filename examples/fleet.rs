@@ -59,9 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &scenario.decoder_config(),
         FrameExtractor::for_scenario(&scenario),
     );
-    cfg.diag.ledger = Some(Arc::clone(&ledger));
-    cfg.diag.flight = Some(Arc::clone(&flight));
-    cfg.diag.min_delivery_ratio = Some(0.5);
+    cfg.reader.diag.ledger = Some(Arc::clone(&ledger));
+    cfg.reader.diag.flight = Some(Arc::clone(&flight));
+    cfg.min_delivery_ratio = Some(0.5);
     let (fleet, mut subs) =
         FleetRuntime::spawn_decoder(sources, scenario.decoder_config(), &cfg, 1, obs.clone());
     let sub = subs.remove(0);

@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(stats.epochs_dropped, 0, "block policy loses nothing");
 
     // Where the decode time went, stage by stage (names straight from
-    // the decode graph).
+    // the decoder's `StageTimings::names`).
     let per_stage = stats
         .latency
         .iter()

@@ -105,8 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         final_stats.faults,
         final_stats.forced_splits,
     );
-    // Stage names come from the decode graph: a stage added to lf-core
-    // shows up in this report without the example changing.
+    // Stage names come from the decoder: a stage added to lf-core shows
+    // up in this report without the example changing.
     let per_stage = final_stats
         .latency
         .iter()

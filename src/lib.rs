@@ -29,7 +29,7 @@
 //! | [`sim`] | scenarios, end-to-end simulation, per-figure experiments |
 //! | [`reader`] | streaming runtime: online segmentation, parallel epoch decode, live stats |
 //! | [`fleet`] | multi-reader fleet: per-reader channel realizations, clock-free dedup, exactly-once delivery |
-//! | [`obs`] | in-tree observability: metrics registry, span tracing, Prometheus/JSON export |
+//! | [`obs`] | in-tree observability: metrics registry, span tracing, Prometheus export |
 //!
 //! ## Quickstart
 //!
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use lf_core::pipeline::{DecodedStream, Decoder, EpochDecode, StageTimings, StreamKind};
     pub use lf_core::reliability::{ReaderCommand, ReaderController};
     pub use lf_fleet::{
-        realized_sources, DeliveredFrame, FleetConfig, FleetDiag, FleetRuntime, FrameExtractor,
+        realized_sources, DeliveredFrame, FleetConfig, FleetRuntime, FrameExtractor,
     };
     pub use lf_obs::{
         write_chrome_trace_env, FlightRecorder, LedgerSummary, MetricValue, ObsContext, Snapshot,
