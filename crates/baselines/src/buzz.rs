@@ -196,14 +196,6 @@ impl BuzzNetwork {
             failed_rounds,
         }
     }
-
-    /// The expected measurements per bit round at the configured operating
-    /// point (analytic helper for throughput models).
-    pub fn expected_measurements(&self) -> f64 {
-        (self.cfg.initial_meas_frac * self.n_tags() as f64)
-            .ceil()
-            .max(2.0)
-    }
 }
 
 /// Solves one bit round: regularized stacked-real least squares, then

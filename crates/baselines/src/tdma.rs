@@ -86,13 +86,6 @@ impl TdmaSchedule {
     pub fn round_secs(&self) -> f64 {
         self.cfg.slot_secs() * self.n_tags as f64
     }
-
-    /// The radio clock each tag must run to meet its slot (it buffers
-    /// samples between turns — hence the FIFO in Table 3 — and bursts at
-    /// the full link rate).
-    pub fn tag_clock_bps(&self) -> f64 {
-        self.cfg.bitrate_bps
-    }
 }
 
 /// Outcome of one inventory run.

@@ -48,19 +48,6 @@ pub struct PeopleMovement {
 }
 
 impl PeopleMovement {
-    /// Builds the process with explicit components (deterministic).
-    pub fn with_components(
-        base: Complex,
-        components: Vec<(f64, f64, f64)>,
-        phase_wander: (f64, f64, f64),
-    ) -> Self {
-        PeopleMovement {
-            base,
-            components,
-            phase_wander,
-        }
-    }
-
     /// A representative walking-person process: fading components at
     /// fractions of a hertz (human walking speed ≈ 1 m/s moves through a
     /// 33 cm standing-wave pattern in fractions of a second) with randomly

@@ -162,6 +162,27 @@ struct EpochContext<'a> {
     carves: Vec<Option<CarveProvenance>>,
 }
 
+impl<'a> EpochContext<'a> {
+    /// Starts an epoch over an already-sanitized `signal`: builds the one
+    /// prefix-sum pass the edges and slots stages share, and leaves every
+    /// other field empty for the stages to fill.
+    fn new(cfg: &'a DecoderConfig, signal: &'a [Complex], scratch: &'a mut DecodeScratch) -> Self {
+        scratch.prefix.rebuild(signal);
+        EpochContext {
+            cfg,
+            signal,
+            scratch,
+            edges: Vec::new(),
+            admission: Vec::new(),
+            tracked: Vec::new(),
+            units: Vec::new(),
+            outputs: Vec::new(),
+            carve_attempted: Vec::new(),
+            carves: Vec::new(),
+        }
+    }
+}
+
 /// Stage 1 — edge detection (§3.1).
 fn edges(ctx: &mut EpochContext<'_>) {
     let s = &mut *ctx.scratch;
@@ -172,10 +193,11 @@ fn edges(ctx: &mut EpochContext<'_>) {
         &mut s.select,
         &mut ctx.admission,
     );
+    let stage = STAGE_NAMES[EDGES];
     for e in &ctx.edges {
-        checks::assert_finite_scalar("edge-detection", e.time);
-        checks::assert_finite_scalar("edge-detection", e.strength);
-        checks::assert_finite_complex("edge-detection", std::slice::from_ref(&e.diff));
+        checks::assert_finite_scalar(stage, e.time);
+        checks::assert_finite_scalar(stage, e.strength);
+        checks::assert_finite_complex(stage, std::slice::from_ref(&e.diff));
     }
 }
 
@@ -196,10 +218,11 @@ fn folding(ctx: &mut EpochContext<'_>) {
 /// The folding stage's boundary taint checks, run after the search and
 /// after every re-track.
 fn check_tracked(tracked: &[TrackedStream]) {
+    let stage = STAGE_NAMES[FOLDING];
     for ts in tracked {
-        checks::assert_finite_scalar("stream-tracking", ts.offset);
-        checks::assert_finite_scalar("stream-tracking", ts.period_est);
-        checks::assert_finite_f64("stream-tracking", &ts.slot_times);
+        checks::assert_finite_scalar(stage, ts.offset);
+        checks::assert_finite_scalar(stage, ts.period_est);
+        checks::assert_finite_f64(stage, &ts.slot_times);
     }
 }
 
@@ -216,7 +239,7 @@ fn slots(ctx: &mut EpochContext<'_>) {
     for (si, ts) in ctx.tracked.iter().enumerate() {
         foreign_edges_into(ts, si, &ctx.edges, &s.owner, ctx.cfg, &mut s.foreign);
         let diffs = slot_differentials(&s.prefix, ts, &s.foreign, ctx.cfg);
-        checks::assert_finite_complex("slot-differentials", &diffs);
+        checks::assert_finite_complex(STAGE_NAMES[SLOTS], &diffs);
         let clean = slot_cleanliness(ts, &s.foreign, ctx.cfg);
         ctx.units.push(StreamUnit {
             diffs,
@@ -228,15 +251,16 @@ fn slots(ctx: &mut EpochContext<'_>) {
 
 /// Stage 4 — IQ-cluster collision detection and separation (§3.3–§3.4).
 fn separation(ctx: &mut EpochContext<'_>) {
+    let stage = STAGE_NAMES[SEPARATION];
     for unit in &mut ctx.units {
         let (analysis, sep_prov) = analyze_slots_with(&unit.diffs, &unit.clean, ctx.cfg);
         match &analysis {
             StreamAnalysis::Single(fit) => {
-                checks::assert_finite_complex("collision-separation", std::slice::from_ref(&fit.e));
+                checks::assert_finite_complex(stage, std::slice::from_ref(&fit.e));
             }
             StreamAnalysis::Collided(fit) => {
-                checks::assert_finite_complex("collision-separation", &[fit.e1, fit.e2]);
-                checks::assert_finite_scalar("collision-separation", fit.noise_var);
+                checks::assert_finite_complex(stage, &[fit.e1, fit.e2]);
+                checks::assert_finite_scalar(stage, fit.noise_var);
             }
             StreamAnalysis::Unresolved => {}
         }
@@ -601,8 +625,9 @@ fn timed<T>(per_stage: &mut [Duration; STAGE_COUNT], stage: usize, f: impl FnOnc
 /// fresh one (the buffers carry no state between epochs).
 ///
 /// Non-finite samples are treated as dropouts and zeroed before the
-/// stages run (under `strict-checks` they panic naming the `input` stage
-/// instead — see `lf_dsp::checks`).
+/// stages run; that sanitizer is the decoder's one input contract. With
+/// debug assertions on, the `lf_dsp::checks` guards then check that every
+/// stage boundary stays finite, panicking with the stage's name if not.
 pub(crate) fn run(
     cfg: &DecoderConfig,
     obs: &ObsContext,
@@ -617,7 +642,6 @@ pub(crate) fn run(
     let _obs_guard = obs.install();
     let span_total = SpanGuard::enter_measured("pipeline.total");
     let t_start = Instant::now();
-    checks::assert_finite_complex("input", signal);
     let sanitized: Option<Vec<Complex>> = if signal.iter().all(|s| s.is_finite()) {
         None
     } else {
@@ -629,23 +653,10 @@ pub(crate) fn run(
         )
     };
     let signal: &[Complex] = sanitized.as_deref().unwrap_or(signal);
-    // The one prefix-sum pass over the epoch, shared by the edges and
-    // slots stages. Built after sanitization so the sums can never see a
-    // non-finite sample; counted in `total` but in no stage slot (epoch
+    // The prefix sums are built after sanitization so they can never see
+    // a non-finite sample; counted in `total` but in no stage slot (epoch
     // setup, not stage work).
-    scratch.prefix.rebuild(signal);
-    let mut ctx = EpochContext {
-        cfg,
-        signal,
-        scratch,
-        edges: Vec::new(),
-        admission: Vec::new(),
-        tracked: Vec::new(),
-        units: Vec::new(),
-        outputs: Vec::new(),
-        carve_attempted: Vec::new(),
-        carves: Vec::new(),
-    };
+    let mut ctx = EpochContext::new(cfg, signal, scratch);
     let mut per_stage = [Duration::ZERO; STAGE_COUNT];
     timed(&mut per_stage, EDGES, || edges(&mut ctx));
     timed(&mut per_stage, FOLDING, || folding(&mut ctx));
@@ -750,7 +761,14 @@ impl PipelineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lf_types::{RatePlan, SampleRate};
+    use lf_channel::air::{synthesize, AirConfig, TagAir};
+    use lf_channel::dynamics::StaticChannel;
+    use lf_tag::clock::ClockModel;
+    use lf_tag::comparator::Comparator;
+    use lf_tag::tag::{LfTag, TagConfig};
+    use lf_types::{RatePlan, SampleRate, TagId};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn stage_names_are_unique_and_in_pipeline_order() {
@@ -785,5 +803,105 @@ mod tests {
         assert!(decode.streams.is_empty());
         assert_eq!(decode.n_edges, 0);
         assert!(timings.total >= timings.per_stage.iter().sum::<Duration>());
+    }
+
+    /// A clean 20k-sample epoch at 1 Msps with one tag per `(rate in bps,
+    /// channel, comparator delay in s, bits)` entry, each sending an anchor
+    /// and then a fixed pattern.
+    fn epoch(tags: &[(f64, Complex, f64, usize)]) -> Vec<Complex> {
+        let fs = SampleRate::from_msps(1.0);
+        let mut rng = StdRng::seed_from_u64(99);
+        let air: Vec<TagAir> = tags
+            .iter()
+            .enumerate()
+            .map(|(i, &(bps, h, delay, n_bits))| {
+                let mut bits = BitVec::new();
+                bits.push(true); // anchor
+                for k in 1..n_bits {
+                    bits.push((k + i) % 3 == 0);
+                }
+                let tag = LfTag::new(TagConfig {
+                    id: TagId(i as u32),
+                    rate: BitRate::from_bps(bps, 100.0).unwrap(),
+                    clock: ClockModel {
+                        drift: 0.0,
+                        jitter_std_s: 0.0,
+                    },
+                    comparator: Comparator::fixed(delay),
+                });
+                TagAir {
+                    events: tag.plan_epoch(bits, fs, 100.0, &mut rng).events,
+                    initial_level: 0.0,
+                    process: Box::new(StaticChannel(h)),
+                }
+            })
+            .collect();
+        let mut air_cfg = AirConfig::paper_default(20_000);
+        air_cfg.sample_rate = fs;
+        air_cfg.noise_sigma = 0.002;
+        air_cfg.seed = 8;
+        synthesize(&air_cfg, &air)
+    }
+
+    /// Every decoded field as its exact bit pattern.
+    fn bit_pattern(decode: &EpochDecode) -> Vec<u64> {
+        let mut out = vec![decode.n_edges as u64, decode.n_tracked as u64];
+        for s in &decode.streams {
+            out.extend([
+                u64::from(s.rate.multiple()),
+                s.rate_bps.to_bits(),
+                s.offset.to_bits(),
+                s.period.to_bits(),
+                s.edge_vector.re.to_bits(),
+                s.edge_vector.im.to_bits(),
+                s.kind as u64,
+                s.bits.len() as u64,
+            ]);
+            out.extend(s.bits.iter().map(u64::from));
+        }
+        out
+    }
+
+    /// A decode that unwinds mid-epoch (a contained panic in a reader
+    /// worker) abandons the scratch with one epoch's edges, ownership and
+    /// foreign-edge lists still in it. The next decode on that scratch must
+    /// match a fresh scratch bit for bit, because every buffer is cleared
+    /// or rebuilt before it is read.
+    #[test]
+    fn scratch_abandoned_mid_epoch_decodes_bit_identically() {
+        let mut cfg = DecoderConfig::at_sample_rate(SampleRate::from_msps(1.0));
+        cfg.rate_plan =
+            RatePlan::from_bps(100.0, &[2_000.0, 5_000.0, 10_000.0, 20_000.0]).expect("plan");
+        let obs = ObsContext::disabled();
+        let b = epoch(&[(2_000.0, Complex::new(0.9, 0.35), 0.0, 24)]);
+        let fresh = run(&cfg, &obs, None, &b, &mut DecodeScratch::default()).0;
+        assert!(!fresh.streams.is_empty(), "test premise: epoch B decodes");
+        let fresh = bit_pattern(&fresh);
+
+        // Epoch A stops after the slots stage: several streams' state is
+        // left behind, since a lone stream has no foreign edges.
+        let a = epoch(&[
+            (5_000.0, Complex::new(0.9, 0.35), 40e-6, 80),
+            (10_000.0, Complex::new(-0.4, 0.7), 70e-6, 180),
+            (2_000.0, Complex::new(0.5, -0.6), 133e-6, 36),
+        ]);
+        let mut scratch = DecodeScratch::default();
+        let mut ctx = EpochContext::new(&cfg, &a, &mut scratch);
+        edges(&mut ctx);
+        folding(&mut ctx);
+        slots(&mut ctx);
+        assert!(
+            ctx.tracked.len() >= 2,
+            "test premise: epoch A tracks several streams"
+        );
+
+        for pass in ["first", "second"] {
+            let (decode, _) = run(&cfg, &obs, None, &b, &mut scratch);
+            assert_eq!(
+                bit_pattern(&decode),
+                fresh,
+                "{pass} decode on the abandoned scratch is not bit-identical"
+            );
+        }
     }
 }

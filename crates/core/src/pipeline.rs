@@ -136,12 +136,10 @@ impl Decoder {
     ///
     /// Non-finite samples (NaN/∞ from a misbehaving front end) are
     /// treated as dropouts and zeroed before processing — one poisoned
-    /// sample must not take down the decode of everyone else's data.
-    ///
-    /// Under the `strict-checks` feature that tolerance is inverted:
-    /// non-finite input (and any non-finite value appearing at a later
-    /// stage boundary) panics naming the stage, so numeric taint is caught
-    /// at its source instead of decaying into a wrong decode.
+    /// sample must not take down the decode of everyone else's data. That
+    /// is the input contract in every build. With debug assertions on, a
+    /// non-finite value appearing at a later stage boundary is a decoder
+    /// bug and panics naming the stage.
     pub fn decode(&self, signal: &[Complex]) -> EpochDecode {
         self.decode_timed_with(signal, &mut DecodeScratch::default())
             .0

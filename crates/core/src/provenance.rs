@@ -213,8 +213,8 @@ pub struct StreamProvenance {
 
 impl StreamProvenance {
     /// Names the first anomalous pipeline stage for this stream, walking
-    /// in pipeline order, or `None` for a clean decode. The names match
-    /// the stage names used by the `strict-checks` taint guards.
+    /// in pipeline order, or `None` for a clean decode. The names are the
+    /// delivery ledger's attribution names.
     pub fn failing_stage(&self) -> Option<&'static str> {
         // An ambiguous fold is a failure unless the sub-harmonic carve
         // explained it: an accepted carve replaced the fused lock with the
@@ -266,11 +266,6 @@ impl DecodeProvenance {
         self.streams
             .iter()
             .find_map(StreamProvenance::failing_stage)
-    }
-
-    /// The provenance records that have something to report.
-    pub fn anomalies(&self) -> impl Iterator<Item = &StreamProvenance> {
-        self.streams.iter().filter(|s| s.failing_stage().is_some())
     }
 }
 
@@ -391,7 +386,6 @@ mod tests {
             streams: vec![clean, broken],
         };
         assert_eq!(prov.failing_stage(), Some("collision-separation"));
-        assert_eq!(prov.anomalies().count(), 1);
     }
 
     #[test]

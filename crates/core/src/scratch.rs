@@ -11,8 +11,9 @@
 //! The scratch carries **no decode state between epochs**: every buffer is
 //! cleared or fully rebuilt by the stage that uses it, so decoding with a
 //! freshly-defaulted scratch and a reused one is bit-identical (pinned by
-//! the hot-path equivalence tests) — including a scratch left dirty by a
-//! decode that panicked mid-epoch (pinned by `tests/scratch_after_panic.rs`).
+//! the hot-path equivalence tests) — including a scratch abandoned by a
+//! decode that unwound mid-epoch (pinned by the decode runner's
+//! `scratch_abandoned_mid_epoch_decodes_bit_identically` test).
 
 use crate::edges::PrefixSums;
 use lf_dsp::fold::FoldedHistogram;

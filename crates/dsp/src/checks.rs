@@ -1,16 +1,16 @@
-//! NaN/∞ taint guards for the `strict-checks` feature.
+//! NaN/∞ taint guards at the decode pipeline's stage boundaries.
 //!
 //! The decode pipeline is numerically closed: every stage consumes and
 //! produces finite floats, and a NaN anywhere is a bug (the only sanctioned
 //! entry point for non-finite data is the decoder's input sanitizer, which
-//! zeroes dropout samples before any stage runs). With the `strict-checks`
-//! feature enabled these guards verify that invariant at every stage
-//! boundary and panic with a message naming the offending stage; with the
-//! feature disabled every guard compiles to a no-op, so call sites carry no
-//! `cfg` clutter and release builds pay nothing.
+//! zeroes dropout samples before any stage runs). In builds with debug
+//! assertions on — every `cargo test` run — these guards verify that
+//! invariant at every stage boundary and panic with a message naming the
+//! offending stage; in release builds every guard compiles to nothing, so
+//! call sites carry no `cfg` clutter and the decode pays nothing.
 //!
-//! The panics here are deliberate and exempt from the workspace
-//! `clippy::panic` gate: `strict-checks` is a debugging instrument whose
+//! The panic here is deliberate and exempt from the workspace
+//! `clippy::panic` gate: the guards are a debugging instrument whose
 //! entire purpose is to abort loudly at the first tainted value instead of
 //! letting it propagate into a silently-corrupt decode.
 
@@ -18,107 +18,75 @@ use lf_types::Complex;
 
 /// Panics if any sample in `values` is NaN/∞, naming `stage`.
 ///
-/// No-op unless the `strict-checks` feature is enabled.
+/// No-op unless debug assertions are on.
 #[inline]
 pub fn assert_finite_complex(stage: &str, values: &[Complex]) {
-    #[cfg(feature = "strict-checks")]
-    {
+    if cfg!(debug_assertions) {
         if let Some(idx) = values.iter().position(|v| !v.is_finite()) {
             taint_panic(stage, idx, format!("{:?}", values[idx]));
         }
-    }
-    #[cfg(not(feature = "strict-checks"))]
-    {
-        let _ = (stage, values);
     }
 }
 
 /// Panics if any value in `values` is NaN/∞, naming `stage`.
 ///
-/// No-op unless the `strict-checks` feature is enabled.
+/// No-op unless debug assertions are on.
 #[inline]
 pub fn assert_finite_f64(stage: &str, values: &[f64]) {
-    #[cfg(feature = "strict-checks")]
-    {
+    if cfg!(debug_assertions) {
         if let Some(idx) = values.iter().position(|v| !v.is_finite()) {
             taint_panic(stage, idx, format!("{}", values[idx]));
         }
-    }
-    #[cfg(not(feature = "strict-checks"))]
-    {
-        let _ = (stage, values);
     }
 }
 
 /// Panics if the single `value` is NaN/∞, naming `stage`.
 ///
-/// No-op unless the `strict-checks` feature is enabled.
+/// No-op unless debug assertions are on.
 #[inline]
 pub fn assert_finite_scalar(stage: &str, value: f64) {
-    #[cfg(feature = "strict-checks")]
-    {
-        if !value.is_finite() {
-            taint_panic(stage, 0, format!("{value}"));
-        }
-    }
-    #[cfg(not(feature = "strict-checks"))]
-    {
-        let _ = (stage, value);
+    if cfg!(debug_assertions) && !value.is_finite() {
+        taint_panic(stage, 0, format!("{value}"));
     }
 }
 
 // Aborting on taint is this module's contract (see module docs); the
 // clippy::panic gate guards the decode path, not its debug instrument.
-#[cfg(feature = "strict-checks")]
 #[allow(clippy::panic)]
 fn taint_panic(stage: &str, idx: usize, value: String) -> ! {
-    panic!(
-        "strict-checks: non-finite value {value} at pipeline stage \
-         `{stage}` (element {idx})"
-    );
+    panic!("non-finite value {value} at pipeline stage `{stage}` (element {idx})");
 }
 
-#[cfg(all(test, feature = "strict-checks"))]
-mod strict_tests {
+// The guards only fire with debug assertions on, as in every test build.
+#[cfg(all(test, debug_assertions))]
+mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "stage `edge-detection`")]
+    #[should_panic(expected = "stage `edges`")]
     fn complex_guard_names_stage() {
         assert_finite_complex(
-            "edge-detection",
+            "edges",
             &[Complex::new(1.0, 0.0), Complex::new(f64::NAN, 0.0)],
         );
     }
 
     #[test]
-    #[should_panic(expected = "stage `stream-tracking`")]
+    #[should_panic(expected = "stage `folding`")]
     fn f64_guard_names_stage() {
-        assert_finite_f64("stream-tracking", &[0.5, f64::INFINITY]);
+        assert_finite_f64("folding", &[0.5, f64::INFINITY]);
     }
 
     #[test]
-    #[should_panic(expected = "stage `collision-separation`")]
+    #[should_panic(expected = "stage `separation`")]
     fn scalar_guard_names_stage() {
-        assert_finite_scalar("collision-separation", f64::NAN);
+        assert_finite_scalar("separation", f64::NAN);
     }
 
     #[test]
     fn finite_data_passes() {
-        assert_finite_complex("input", &[Complex::new(1.0, -2.0)]);
-        assert_finite_f64("input", &[0.0, 1.0e308]);
-        assert_finite_scalar("input", -0.0);
-    }
-}
-
-#[cfg(all(test, not(feature = "strict-checks")))]
-mod lenient_tests {
-    use super::*;
-
-    #[test]
-    fn guards_are_no_ops_without_the_feature() {
-        assert_finite_complex("input", &[Complex::new(f64::NAN, 0.0)]);
-        assert_finite_f64("input", &[f64::NAN]);
-        assert_finite_scalar("input", f64::INFINITY);
+        assert_finite_complex("slots", &[Complex::new(1.0, -2.0)]);
+        assert_finite_f64("slots", &[0.0, 1.0e308]);
+        assert_finite_scalar("slots", -0.0);
     }
 }

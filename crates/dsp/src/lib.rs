@@ -25,7 +25,7 @@
 //! * [`linalg`] — small dense real matrices and least squares, used by the
 //!   Buzz baseline's linear signal separation (Eq. 1).
 //! * [`checks`] — NaN/∞ taint guards the pipeline wires at every stage
-//!   boundary under the `strict-checks` feature (no-ops otherwise).
+//!   boundary, armed in builds with debug assertions (no-ops in release).
 //! * [`simd`] — the runtime-dispatched AVX-512 nearest-centroid kernel
 //!   over structure-of-arrays slices, with a bit-identical scalar
 //!   fallback; the dispatch is the only switch, there is no cargo feature

@@ -38,6 +38,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Capacity of each subscriber's delivery queue.
+const BUS_CAPACITY: usize = 256;
+
+/// How long the coordinator parks when a poll sweep over every reader
+/// found nothing deliverable. Epoch decodes take milliseconds; parking for
+/// a fraction of one keeps the coordinator's idle sweeps off the decode
+/// workers' cores without adding visible delivery latency. A plain
+/// duration — the coordinator never reads a clock.
+const POLL_PARK: Duration = Duration::from_micros(500);
+
 /// Fleet-level configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -50,14 +60,6 @@ pub struct FleetConfig {
     /// ledger's per-reader rows count what each antenna actually
     /// decoded).
     pub reader: RuntimeConfig,
-    /// Capacity of each subscriber's delivery queue.
-    pub bus_capacity: usize,
-    /// Backpressure discipline at the delivery bus.
-    pub bus_policy: Backpressure,
-    /// How long the coordinator parks when a poll sweep over every
-    /// reader found nothing deliverable. A plain duration — the
-    /// coordinator never reads a clock.
-    pub poll_park: Duration,
     /// How frames are recovered from decoded slot streams.
     pub extractor: FrameExtractor,
     /// Fleet delivery-ratio floor. When set (and `reader.diag` wires both
@@ -70,7 +72,7 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// Defaults derived from a decoder configuration and an extractor:
     /// single-worker readers (fleet parallelism comes from the reader
-    /// count), lossless delivery, a generous bus.
+    /// count) and no delivery-ratio floor.
     pub fn for_decoder(cfg: &DecoderConfig, extractor: FrameExtractor) -> Self {
         let mut reader = RuntimeConfig::for_decoder(cfg);
         reader.workers = 1;
@@ -81,12 +83,6 @@ impl FleetConfig {
         reader.result_queue = 32;
         FleetConfig {
             reader,
-            bus_capacity: 256,
-            bus_policy: Backpressure::Block,
-            // Epoch decodes take milliseconds; parking for a fraction of
-            // one keeps the coordinator's idle sweeps off the decode
-            // workers' cores without adding visible delivery latency.
-            poll_park: Duration::from_micros(500),
             extractor,
             min_delivery_ratio: None,
         }
@@ -113,8 +109,6 @@ pub struct FleetStats {
     pub unique_frames: u64,
     /// Epoch decodes completed across all readers.
     pub epochs_decoded: u64,
-    /// Frames shed from subscriber queues (`DropOldest` bus only).
-    pub bus_shed: u64,
     /// Per-reader contributions, indexed by reader.
     pub per_reader: Vec<ReaderContribution>,
 }
@@ -139,7 +133,6 @@ struct FleetShared {
     frames_delivered: Counter,
     duplicates: Counter,
     epochs_decoded: Counter,
-    bus_shed: Counter,
     /// Readers that decoded each frame (recorded once per frame at
     /// shutdown, from the registry's provenance).
     h_seen_by: Histogram,
@@ -164,7 +157,6 @@ impl FleetShared {
             frames_delivered: obs.counter("fleet.frames_delivered"),
             duplicates: obs.counter("fleet.duplicates_suppressed"),
             epochs_decoded: obs.counter("fleet.epochs_decoded"),
-            bus_shed: obs.counter("fleet.bus_shed"),
             h_seen_by: obs.histogram("fleet.dedup.seen_by"),
             h_duplicate_lag: obs.histogram("fleet.dedup.duplicate_lag.frames"),
             h_delivery_lag: obs.histogram("fleet.delivery.lag.epochs"),
@@ -184,9 +176,7 @@ pub struct FleetRuntime {
     coordinator: Option<JoinHandle<Vec<RuntimeStats>>>,
     shared: Arc<FleetShared>,
     registry: Arc<DedupRegistry>,
-    bus: Arc<FrameBus>,
     stop: Arc<AtomicBool>,
-    obs: ObsContext,
 }
 
 impl FleetRuntime {
@@ -205,7 +195,9 @@ impl FleetRuntime {
         let n_readers = sources.len();
         let shared = Arc::new(FleetShared::new(&obs, n_readers));
         let registry = Arc::new(DedupRegistry::new());
-        let bus = Arc::new(FrameBus::new(cfg.bus_capacity, cfg.bus_policy));
+        // A blocking bus is lossless: a slow subscriber stalls the
+        // coordinator instead of shedding frames.
+        let bus = FrameBus::new(BUS_CAPACITY, Backpressure::Block);
         let subscriptions: Vec<Subscription> =
             (0..n_subscribers).map(|_| bus.subscribe()).collect();
         let stop = Arc::new(AtomicBool::new(false));
@@ -233,17 +225,14 @@ impl FleetRuntime {
         let coordinator = {
             let shared = Arc::clone(&shared);
             let registry = Arc::clone(&registry);
-            let bus = Arc::clone(&bus);
             let stop = Arc::clone(&stop);
             let extractor = cfg.extractor.clone();
-            let park = cfg.poll_park;
             let diag = cfg.reader.diag.clone();
             let floor = cfg.min_delivery_ratio;
-            let obs = obs.clone();
             std::thread::spawn(move || {
                 let _obs_guard = obs.install();
                 coordinate(
-                    readers, &extractor, &registry, &bus, &shared, &diag, floor, &stop, park,
+                    readers, &extractor, &registry, &bus, &shared, &diag, floor, &stop,
                 )
             })
         };
@@ -253,9 +242,7 @@ impl FleetRuntime {
                 coordinator: Some(coordinator),
                 shared,
                 registry,
-                bus,
                 stop,
-                obs,
             },
             subscriptions,
         )
@@ -274,19 +261,6 @@ impl FleetRuntime {
         FleetRuntime::spawn(sources, decoder, cfg, n_subscribers, obs)
     }
 
-    /// The observability context the fleet's `fleet.*` metrics (and a
-    /// decoder built by [`FleetRuntime::spawn_decoder`]) record into.
-    pub fn obs(&self) -> &ObsContext {
-        &self.obs
-    }
-
-    /// An extra subscription. Frames already delivered are not replayed
-    /// — prefer `n_subscribers` at spawn unless missing the prefix is
-    /// acceptable.
-    pub fn subscribe(&self) -> Subscription {
-        self.bus.subscribe()
-    }
-
     /// A live statistics snapshot; callable any time.
     pub fn stats(&self) -> FleetStats {
         FleetStats {
@@ -294,7 +268,6 @@ impl FleetRuntime {
             duplicates_suppressed: self.shared.duplicates.get(),
             unique_frames: self.registry.len() as u64,
             epochs_decoded: self.shared.epochs_decoded.get(),
-            bus_shed: self.shared.bus_shed.get(),
             per_reader: self
                 .shared
                 .per_reader
@@ -305,11 +278,6 @@ impl FleetRuntime {
                 })
                 .collect(),
         }
-    }
-
-    /// A live provenance snapshot (every frame claimed so far).
-    pub fn provenance(&self) -> Vec<DeliveryProvenance> {
-        self.registry.provenance()
     }
 
     /// Requests a graceful shutdown: the coordinator stops the readers'
@@ -324,8 +292,8 @@ impl FleetRuntime {
 
     /// Waits for end of stream (every source exhausted and every report
     /// processed), closes the bus, joins all threads, and returns the
-    /// final report. Subscribers must keep draining while this runs if
-    /// the bus policy is `Block`.
+    /// final report. Subscribers must keep draining while this runs: the
+    /// bus blocks the coordinator while a subscriber's queue is full.
     pub fn join(mut self) -> FleetReport {
         let per_reader = match self.coordinator.take() {
             Some(handle) => handle.join().unwrap_or_default(),
@@ -360,7 +328,6 @@ fn coordinate(
     diag: &DiagSinks,
     min_delivery_ratio: Option<f64>,
     stop: &AtomicBool,
-    park: Duration,
 ) -> Vec<RuntimeStats> {
     let mut delivered_tick: u64 = 0;
     let mut max_ordinal: u64 = 0;
@@ -395,7 +362,7 @@ fn coordinate(
             break;
         }
         if !progressed {
-            std::thread::sleep(park);
+            std::thread::sleep(POLL_PARK);
         }
     }
     // Multiplicity is only final once every reader has reported: record
@@ -470,8 +437,7 @@ fn process_report(
                         reason: crate::dedup::WinReason::FirstClaim,
                         id,
                     };
-                    let outcome = bus.publish(&delivered);
-                    shared.bus_shed.add(outcome.shed as u64);
+                    bus.publish(&delivered);
                     *delivered_tick += 1;
                     shared.frames_delivered.inc();
                     shared.per_reader[reader_index].wins.inc();

@@ -154,16 +154,6 @@ impl ObsContext {
             i.ring.push(nanos, kind, path, message);
         }
     }
-
-    /// True when both handles point at the same underlying context (or
-    /// both are disabled).
-    pub fn same_as(&self, other: &ObsContext) -> bool {
-        match (&self.inner, &other.inner) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
-    }
 }
 
 // The whole point of the context is to be shared across a worker pool.
@@ -192,18 +182,9 @@ mod tests {
     fn clones_share_one_registry() {
         let ctx = ObsContext::new();
         let clone = ctx.clone();
-        assert!(ctx.same_as(&clone));
         clone.counter("shared").add(2);
         ctx.counter("shared").inc();
         assert_eq!(ctx.counter("shared").get(), 3);
-    }
-
-    #[test]
-    fn distinct_contexts_are_distinct() {
-        let a = ObsContext::new();
-        let b = ObsContext::new();
-        assert!(!a.same_as(&b));
-        assert!(ObsContext::disabled().same_as(&ObsContext::disabled()));
     }
 
     #[test]

@@ -61,18 +61,54 @@ proptest! {
     }
 }
 
-// Under strict-checks the decoder panics on non-finite input by design —
-// the graceful-degradation contract this test pins only holds for default
-// builds (the strict behaviour is pinned in tests/strict_checks.rs).
-#[cfg(not(feature = "strict-checks"))]
+/// Every decoded field as its exact bit pattern.
+fn bit_pattern(decode: &EpochDecode) -> Vec<u64> {
+    let mut out = vec![decode.n_edges as u64, decode.n_tracked as u64];
+    for s in &decode.streams {
+        out.extend([
+            u64::from(s.rate.multiple()),
+            s.rate_bps.to_bits(),
+            s.offset.to_bits(),
+            s.period.to_bits(),
+            s.edge_vector.re.to_bits(),
+            s.edge_vector.im.to_bits(),
+            s.kind as u64,
+            s.bits.len() as u64,
+        ]);
+        out.extend(s.bits.iter().map(u64::from));
+    }
+    out
+}
+
 #[test]
 fn decoder_handles_non_finite_samples_degraded_but_safe() {
     // NaN/∞ should never reach a production decoder (front ends clamp),
-    // but if they do, we must not panic. Outputs may be garbage.
-    let mut signal = vec![Complex::new(0.4, -0.2); 5_000];
-    signal[1234] = Complex::new(f64::NAN, 0.0);
-    signal[2345] = Complex::new(0.0, f64::INFINITY);
-    let _ = decoder().decode(&signal); // must not panic
+    // but if they do they are dropouts: the decode is exactly that of the
+    // same capture with those samples zeroed.
+    let mut sc = Scenario::paper_default(
+        vec![ScenarioTag::sensor(10_000.0).with_payload_bits(32)],
+        20_000,
+    )
+    .at_sample_rate(SampleRate::from_msps(1.0));
+    sc.rate_plan = RatePlan::from_bps(100.0, &[2_000.0, 5_000.0, 10_000.0]).unwrap();
+    let (mut zeroed, truths) = synthesize_epoch(&sc, 0);
+    let frame = truths[0].bits.len() as f64 * truths[0].period;
+    let inside = [1.0, 2.0].map(|k| (truths[0].offset + k * frame / 3.0) as usize);
+    let mut poisoned = zeroed.clone();
+    poisoned[inside[0]] = Complex::new(f64::NAN, 0.0);
+    poisoned[inside[1]] = Complex::new(0.0, f64::INFINITY);
+    for i in inside {
+        zeroed[i] = Complex::ZERO;
+    }
+    let expected = decoder().decode(&zeroed);
+    assert!(
+        expected.streams.iter().any(|s| !s.bits.is_empty()),
+        "test premise: the zeroed capture decodes a stream"
+    );
+    assert_eq!(
+        bit_pattern(&decoder().decode(&poisoned)),
+        bit_pattern(&expected)
+    );
 }
 
 #[test]
