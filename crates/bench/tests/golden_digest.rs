@@ -1,18 +1,23 @@
-//! Golden end-to-end decode digest over a seeded 8-tag simulated session.
+//! Golden end-to-end decode digests over seeded 8-tag simulated sessions.
 //!
 //! The hot-path overhaul (shared prefix sums, sqrt-free thresholding,
 //! selection medians, reusable scratch) is required to leave the decode
-//! output *bit-identical*. This test pins the entire pipeline to one
+//! output *bit-identical*. These tests pin the entire pipeline to one
 //! FNV-1a digest of every decoded field — bits, offsets, periods, edge
-//! vectors — over the standard CI fixture, and re-decodes through both
+//! vectors — over the standard CI fixture, and re-decode through both
 //! entry points (the one-shot `decode` on a fresh scratch, and
 //! `decode_timed_with` on a reused and on a dirtied caller-owned scratch)
 //! to prove they all land on the same digest. If an optimization perturbs
 //! a single mantissa bit anywhere in the decode, this fails.
+//!
+//! The CI-scale session makes one carve attempt and accepts none, so a
+//! second digest pins a paper-scale epoch (25 Msps, 100 kbps, 150k
+//! samples) whose decode accepts carves and so re-runs the slots through
+//! carve stages with some streams' tracks replaced and others kept.
 
 #![allow(clippy::unwrap_used)]
 
-use lf_bench::standard_fixture;
+use lf_bench::{standard_fixture, Fixture};
 use lf_core::config::DecoderConfig;
 use lf_core::pipeline::{Decoder, EpochDecode, StreamKind};
 use lf_core::DecodeScratch;
@@ -22,6 +27,10 @@ use lf_sim::experiments::Scale;
 /// an *intentional* decode-semantics change (the failure message prints
 /// the new value); a perf-only PR must never move it.
 const GOLDEN: u64 = 0x69a3_98da_82e7_787c;
+
+/// The pinned digest of the paper-scale epoch's decode; same rules as
+/// [`GOLDEN`].
+const PAPER_GOLDEN: u64 = 0x8f71_238d_45e8_424f;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -57,12 +66,16 @@ fn digest_of(decode: &EpochDecode) -> u64 {
     h
 }
 
+fn decoder_for(fix: &Fixture) -> Decoder {
+    let mut cfg = DecoderConfig::at_sample_rate(fix.scenario.sample_rate);
+    cfg.rate_plan = fix.scenario.rate_plan.clone();
+    Decoder::new(cfg)
+}
+
 #[test]
 fn golden_decode_digest_over_seeded_session() {
     let fix = standard_fixture(Scale::Quick, 8, 1);
-    let mut cfg = DecoderConfig::at_sample_rate(fix.scenario.sample_rate);
-    cfg.rate_plan = fix.scenario.rate_plan.clone();
-    let decoder = Decoder::new(cfg);
+    let decoder = decoder_for(&fix);
     let mut scratch = DecodeScratch::default();
     let mut decode_with_scratch =
         |signal: &[lf_types::Complex]| decoder.decode_timed_with(signal, &mut scratch).0;
@@ -98,4 +111,35 @@ fn golden_decode_digest_over_seeded_session() {
         "scalar-forced kernels changed the decode: the SIMD backends are \
          not bit-identical to their scalar references"
     );
+}
+
+#[test]
+fn paper_scale_digest_with_accepted_carves() {
+    let fix = standard_fixture(Scale::Paper, 8, 1);
+    let decoder = decoder_for(&fix);
+    let fresh = decoder.decode(&fix.signal);
+    // Premise: this epoch exercises the carve re-runs, so the digest pins
+    // them and not only the single-pass decode the CI session takes.
+    assert!(
+        fresh
+            .provenance
+            .streams
+            .iter()
+            .any(|sp| sp.carve.as_ref().is_some_and(|c| c.accepted)),
+        "test premise: the paper-scale epoch accepts a carve"
+    );
+    let first = digest_of(&fresh);
+    assert_eq!(
+        first, PAPER_GOLDEN,
+        "paper-scale decode digest moved: got {first:#018x}, pinned {PAPER_GOLDEN:#018x}"
+    );
+
+    // A scratch warmed by the CI session, then reused for a second pass.
+    let mut scratch = DecodeScratch::default();
+    let other = standard_fixture(Scale::Quick, 8, 1);
+    let _ = decoder_for(&other).decode_timed_with(&other.signal, &mut scratch);
+    for pass in ["dirty", "reused"] {
+        let digest = digest_of(&decoder.decode_timed_with(&fix.signal, &mut scratch).0);
+        assert_eq!(digest, PAPER_GOLDEN, "{pass} scratch changed the decode");
+    }
 }

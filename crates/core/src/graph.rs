@@ -33,9 +33,18 @@
 //! collects the unclaimed residual edges along the stream's own channel
 //! direction, re-folds them at candidate harmonics of the fused rate, and
 //! — if a harmonic explains them — the runner re-tracks the stream at that
-//! harmonic with the structural alias checks suspended (timed as folding)
-//! and runs stages 3–6 again. The attempt is recorded as a
+//! harmonic without the structural alias checks (timed as folding) and
+//! runs stages 3–6 again. The attempt is recorded as a
 //! [`CarveProvenance`] either way.
+//!
+//! A re-run redoes only what the re-track changed. `slots` keeps each
+//! stream's unit from the previous pass unless the stream's track was
+//! replaced or an edge whose owner changed moved in or out of its
+//! foreign-edge list, and `separation` analyses only the units `slots`
+//! recomputed. `decode` and `carve` still run over every stream. This is
+//! exact: a unit is a pure function of its track, its foreign-edge list,
+//! the prefix sums and the config, and the foreign-edge list is a pure
+//! function of each edge's foreign-or-not membership for the stream.
 
 use crate::config::DecoderConfig;
 use crate::decode::{decode_member_traced, decode_single_traced};
@@ -47,8 +56,10 @@ use crate::provenance::{
 };
 use crate::scratch::DecodeScratch;
 use crate::separate::{analyze_slots_with, StreamAnalysis};
-use crate::slots::{edge_owners_into, foreign_edges_into, slot_cleanliness, slot_differentials};
-use crate::streams::{find_streams_with, retrack_at_harmonic, TrackedStream};
+use crate::slots::{
+    edge_owners_into, foreign_edges_into, slot_cleanliness, slot_differentials, ForeignTest,
+};
+use crate::streams::{find_streams_with, retrack_at_harmonic, EdgeViews, TrackedStream};
 use lf_dsp::checks;
 use lf_dsp::fold::FoldTable;
 use lf_obs::{Counter, Histogram, ObsContext, SpanGuard};
@@ -149,11 +160,18 @@ struct EpochContext<'a> {
     /// lint).
     scratch: &'a mut DecodeScratch,
     edges: Vec<EdgeEvent>,
+    /// SoA views of `edges`, built once by the folding stage and shared
+    /// by the blind search and every carve re-track.
+    views: EdgeViews,
     /// Admission-cascade rejections recorded by the edges and folding
     /// stages (goes into [`DecodeProvenance::admission`]).
     admission: Vec<AdmissionRecord>,
     tracked: Vec<TrackedStream>,
-    units: Vec<StreamUnit>,
+    /// Per-tracked-stream slot unit of the last slots pass; `None` until
+    /// computed, and again once a carve replaces the stream's track.
+    units: Vec<Option<StreamUnit>>,
+    /// The edge→owner array the kept `units` were computed against.
+    unit_owner: Vec<Option<usize>>,
     outputs: Vec<(DecodedStream, StreamProvenance)>,
     /// Per-tracked-stream: whether a carve was already requested for it
     /// (one attempt per stream per epoch).
@@ -173,12 +191,28 @@ impl<'a> EpochContext<'a> {
             signal,
             scratch,
             edges: Vec::new(),
+            views: EdgeViews::build(&[], 0),
             admission: Vec::new(),
             tracked: Vec::new(),
             units: Vec::new(),
+            unit_owner: Vec::new(),
             outputs: Vec::new(),
             carve_attempted: Vec::new(),
             carves: Vec::new(),
+        }
+    }
+
+    /// The finished epoch: decoded streams, counts and provenance.
+    fn into_decode(self) -> EpochDecode {
+        let (streams, stream_provs): (Vec<_>, Vec<_>) = self.outputs.into_iter().unzip();
+        EpochDecode {
+            streams,
+            n_edges: self.edges.len(),
+            n_tracked: self.tracked.len(),
+            provenance: DecodeProvenance {
+                admission: self.admission,
+                streams: stream_provs,
+            },
         }
     }
 }
@@ -203,8 +237,10 @@ fn edges(ctx: &mut EpochContext<'_>) {
 
 /// Stage 2 — eye-pattern folding and drift tracking (§3.2).
 fn folding(ctx: &mut EpochContext<'_>) {
+    ctx.views = EdgeViews::build(&ctx.edges, ctx.signal.len());
     ctx.tracked = find_streams_with(
         &ctx.edges,
+        &ctx.views,
         ctx.signal.len(),
         ctx.cfg,
         &mut ctx.scratch.fold_hists,
@@ -228,31 +264,63 @@ fn check_tracked(tracked: &[TrackedStream]) {
 
 /// Stage 3 — per-slot IQ differentials with cross-stream masking (§3.3
 /// input preparation).
+///
+/// On a carve re-run, a unit kept from the previous pass is recomputed
+/// only when an edge whose owner changed flips in or out of the stream's
+/// foreign-edge list (the re-track dropped the unit of any track it
+/// replaced).
 fn slots(ctx: &mut EpochContext<'_>) {
     let s = &mut *ctx.scratch;
     // Edge ownership across all tracked streams, computed once per
-    // epoch: stream k's window trimming must respect edges matched by
+    // pass: stream k's window trimming must respect edges matched by
     // the *other* streams but keep its own orphan companions (see
     // lf_core::slots).
     edge_owners_into(&ctx.tracked, ctx.edges.len(), &mut s.owner);
-    ctx.units.clear();
-    for (si, ts) in ctx.tracked.iter().enumerate() {
+    let changed: Vec<usize> = if ctx.unit_owner.len() == s.owner.len() {
+        (0..s.owner.len())
+            .filter(|&i| ctx.unit_owner[i] != s.owner[i])
+            .collect()
+    } else {
+        ctx.units.clear();
+        Vec::new()
+    };
+    ctx.units.resize_with(ctx.tracked.len(), || None);
+    for (si, (ts, unit)) in ctx.tracked.iter().zip(&mut ctx.units).enumerate() {
+        if unit.is_some() && !changed.is_empty() {
+            let test = ForeignTest::new(ts, si, ctx.cfg);
+            let flips = |i: usize| {
+                let t = ctx.edges[i].time;
+                test.is_foreign(ctx.unit_owner[i], t) != test.is_foreign(s.owner[i], t)
+            };
+            if changed.iter().any(|&i| flips(i)) {
+                *unit = None;
+            }
+        }
+        if unit.is_some() {
+            continue;
+        }
         foreign_edges_into(ts, si, &ctx.edges, &s.owner, ctx.cfg, &mut s.foreign);
         let diffs = slot_differentials(&s.prefix, ts, &s.foreign, ctx.cfg);
         checks::assert_finite_complex(STAGE_NAMES[SLOTS], &diffs);
         let clean = slot_cleanliness(ts, &s.foreign, ctx.cfg);
-        ctx.units.push(StreamUnit {
+        *unit = Some(StreamUnit {
             diffs,
             clean,
             analysis: None,
         });
     }
+    ctx.unit_owner.clone_from(&s.owner);
 }
 
-/// Stage 4 — IQ-cluster collision detection and separation (§3.3–§3.4).
+/// Stage 4 — IQ-cluster collision detection and separation (§3.3–§3.4),
+/// for the units the slots pass just computed (a kept unit keeps its
+/// analysis).
 fn separation(ctx: &mut EpochContext<'_>) {
     let stage = STAGE_NAMES[SEPARATION];
-    for unit in &mut ctx.units {
+    for unit in ctx.units.iter_mut().flatten() {
+        if unit.analysis.is_some() {
+            continue;
+        }
         let (analysis, sep_prov) = analyze_slots_with(&unit.diffs, &unit.clean, ctx.cfg);
         match &analysis {
             StreamAnalysis::Single(fit) => {
@@ -272,7 +340,7 @@ fn separation(ctx: &mut EpochContext<'_>) {
 fn decode(ctx: &mut EpochContext<'_>) {
     ctx.outputs.clear();
     for (si, ts) in ctx.tracked.iter().enumerate() {
-        let Some(unit) = ctx.units.get(si) else {
+        let Some(unit) = ctx.units.get(si).and_then(Option::as_ref) else {
             continue;
         };
         let Some((analysis, sep_prov)) = unit.analysis.clone() else {
@@ -404,7 +472,10 @@ fn carve(ctx: &mut EpochContext<'_>) -> Vec<CarveRequest> {
         // A separated 2-tag collision already explains the ambiguity;
         // only Single/Unresolved streams are carve candidates.
         let collided = matches!(
-            ctx.units.get(si).and_then(|u| u.analysis.as_ref()),
+            ctx.units
+                .get(si)
+                .and_then(Option::as_ref)
+                .and_then(|u| u.analysis.as_ref()),
             Some((StreamAnalysis::Collided(_), _))
         );
         if collided {
@@ -527,10 +598,11 @@ fn principal_direction(edges: &[EdgeEvent], ts: &TrackedStream) -> Option<Comple
 }
 
 /// Executes one carve: re-track the fused stream at the carved harmonic
-/// over the edges no *other* stream owns, with the structural alias
-/// checks suspended (the split test already established the harmonic
-/// structure those checks exist to veto blind). The re-track replaces the
-/// fused track only when it explains materially more edges.
+/// over the edges no *other* stream owns, without the structural alias
+/// checks (the split test already established the harmonic structure
+/// those checks exist to veto blind). The re-track replaces the fused
+/// track only when it explains materially more edges, and then drops the
+/// stream's slot unit so the next slots pass recomputes it.
 fn apply_carve(ctx: &mut EpochContext<'_>, req: &CarveRequest) {
     let n_matched_before = ctx
         .tracked
@@ -553,6 +625,9 @@ fn apply_carve(ctx: &mut EpochContext<'_>, req: &CarveRequest) {
                 // the carve explains, and the provenance should show both.
                 new.fold = slot.fold.clone();
                 *slot = new;
+            }
+            if let Some(unit) = ctx.units.get_mut(req.stream) {
+                *unit = None;
             }
         }
     }
@@ -589,7 +664,7 @@ fn retrack_for(ctx: &EpochContext<'_>, req: &CarveRequest) -> Option<TrackedStre
     }
     let seed_idx = ts.matched.iter().flatten().next().copied()?;
     retrack_at_harmonic(
-        &ctx.edges,
+        &ctx.views,
         &claimed,
         seed_idx,
         rate,
@@ -685,16 +760,7 @@ pub(crate) fn run(
         total: t_start.elapsed(),
     };
     span_total.exit(timings.total);
-    let (streams, stream_provs): (Vec<_>, Vec<_>) = ctx.outputs.into_iter().unzip();
-    let decode = EpochDecode {
-        streams,
-        n_edges: ctx.edges.len(),
-        n_tracked: ctx.tracked.len(),
-        provenance: DecodeProvenance {
-            admission: ctx.admission,
-            streams: stream_provs,
-        },
-    };
+    let decode = ctx.into_decode();
     if let Some(m) = metrics {
         m.record(&decode, &timings);
     }
@@ -809,9 +875,7 @@ mod tests {
     /// channel, comparator delay in s, bits)` entry, each sending an anchor
     /// and then a fixed pattern.
     fn epoch(tags: &[(f64, Complex, f64, usize)]) -> Vec<Complex> {
-        let fs = SampleRate::from_msps(1.0);
-        let mut rng = StdRng::seed_from_u64(99);
-        let air: Vec<TagAir> = tags
+        let payloads: Vec<(f64, Complex, f64, BitVec)> = tags
             .iter()
             .enumerate()
             .map(|(i, &(bps, h, delay, n_bits))| {
@@ -820,6 +884,21 @@ mod tests {
                 for k in 1..n_bits {
                     bits.push((k + i) % 3 == 0);
                 }
+                (bps, h, delay, bits)
+            })
+            .collect();
+        epoch_of(&payloads)
+    }
+
+    /// As [`epoch`], with each tag's payload given.
+    fn epoch_of(tags: &[(f64, Complex, f64, BitVec)]) -> Vec<Complex> {
+        let fs = SampleRate::from_msps(1.0);
+        let mut rng = StdRng::seed_from_u64(99);
+        let air: Vec<TagAir> = tags
+            .iter()
+            .enumerate()
+            .map(|(i, (bps, h, delay, bits))| {
+                let (bps, h, delay, bits) = (*bps, *h, *delay, bits.clone());
                 let tag = LfTag::new(TagConfig {
                     id: TagId(i as u32),
                     rate: BitRate::from_bps(bps, 100.0).unwrap(),
@@ -901,6 +980,153 @@ mod tests {
                 bit_pattern(&decode),
                 fresh,
                 "{pass} decode on the abandoned scratch is not bit-identical"
+            );
+        }
+    }
+
+    /// Bits that toggle at every `stride`-th slot from `skew`, with the
+    /// bits at `flips` inverted: each flip moves one edge off the shared
+    /// sub-harmonic grid, which is the carve's evidence.
+    fn pulsed_stride_bits(n: usize, stride: usize, skew: usize, flips: &[usize]) -> BitVec {
+        let mut level = false;
+        let mut raw: Vec<bool> = (0..n)
+            .map(|k| {
+                if k % stride == skew {
+                    level = !level;
+                }
+                level
+            })
+            .collect();
+        for &f in flips {
+            raw[f] = !raw[f];
+        }
+        raw.into_iter().collect()
+    }
+
+    /// How a decode's carve re-runs treated the slot units they met.
+    #[derive(Debug, Default)]
+    struct UnitCounts {
+        /// Units whose track the re-track replaced.
+        dropped: usize,
+        /// Units the re-run slots passes computed (the dropped ones, and
+        /// those whose foreign-edge membership changed).
+        recomputed: usize,
+        /// Units the re-run slots passes kept.
+        kept: usize,
+    }
+
+    /// Decodes `signal` through the same stage calls as [`run`]. With
+    /// `recompute` every slots pass starts from no units, so every unit is
+    /// recomputed; without it the runner's reuse applies.
+    fn decode_by_stages(
+        cfg: &DecoderConfig,
+        signal: &[Complex],
+        recompute: bool,
+    ) -> (EpochDecode, UnitCounts) {
+        let mut scratch = DecodeScratch::default();
+        let mut ctx = EpochContext::new(cfg, signal, &mut scratch);
+        edges(&mut ctx);
+        folding(&mut ctx);
+        let mut counts = UnitCounts::default();
+        let mut reentries = 0usize;
+        loop {
+            if recompute {
+                ctx.units.clear();
+            }
+            if reentries > 0 {
+                counts.dropped += ctx.units.iter().filter(|u| u.is_none()).count();
+            }
+            slots(&mut ctx);
+            if reentries > 0 {
+                for unit in ctx.units.iter().flatten() {
+                    if unit.analysis.is_some() {
+                        counts.kept += 1;
+                    } else {
+                        counts.recomputed += 1;
+                    }
+                }
+            }
+            separation(&mut ctx);
+            decode(&mut ctx);
+            let requests = carve(&mut ctx);
+            if requests.is_empty() || reentries == MAX_REENTRIES {
+                break;
+            }
+            reentries += 1;
+            for req in &requests {
+                apply_carve(&mut ctx, req);
+            }
+            check_tracked(&ctx.tracked);
+        }
+        (ctx.into_decode(), counts)
+    }
+
+    /// A carve re-run keeps the units its re-track leaves alone. That must
+    /// decode exactly as recomputing every unit on every pass does.
+    #[test]
+    fn carve_reruns_keep_units_bit_identically() {
+        let mut cfg = DecoderConfig::at_sample_rate(SampleRate::from_msps(1.0));
+        cfg.rate_plan = RatePlan::from_bps(100.0, &[5_000.0, 10_000.0, 15_000.0]).expect("plan");
+        // The sub-harmonic fusion pair (10 kbps toggling every 2nd slot,
+        // 15 kbps every 3rd, both an edge per 200 µs) that the carve
+        // splits; a 5 kbps tag whose slot grid sits next to edges the
+        // carves claim, so their new owner changes its foreign-edge list;
+        // and a 10 kbps tag that no carve touches.
+        let mut flips_a = vec![0, 1];
+        flips_a.extend((1..10).map(|j| 20 * j + 1));
+        let flips_b: Vec<usize> = (1..10).map(|j| 30 * j + 4).collect();
+        let pattern = |n: usize, f: fn(usize) -> bool| -> BitVec { (0..n).map(f).collect() };
+        let signal = epoch_of(&[
+            (
+                10_000.0,
+                Complex::new(0.09, 0.05),
+                0.0,
+                pulsed_stride_bits(200, 2, 0, &flips_a),
+            ),
+            (
+                15_000.0,
+                Complex::new(-0.06, 0.08),
+                0.0,
+                pulsed_stride_bits(300, 3, 2, &flips_b),
+            ),
+            (
+                5_000.0,
+                Complex::new(0.04, -0.1),
+                107e-6,
+                pattern(100, |k| k == 0 || (k * 7 + k / 5) % 3 == 0),
+            ),
+            (
+                10_000.0,
+                Complex::new(0.1, 0.02),
+                53e-6,
+                pattern(200, |k| k == 0 || (k * 5 + k / 7) % 3 == 1),
+            ),
+        ]);
+
+        let obs = ObsContext::disabled();
+        let (by_run, _) = run(&cfg, &obs, None, &signal, &mut DecodeScratch::default());
+        assert!(
+            by_run
+                .provenance
+                .streams
+                .iter()
+                .any(|sp| sp.carve.as_ref().is_some_and(|c| c.accepted)),
+            "test premise: a carve is accepted: {:?}",
+            by_run.provenance
+        );
+        let (by_stages, counts) = decode_by_stages(&cfg, &signal, false);
+        assert!(
+            counts.dropped >= 1 && counts.recomputed > counts.dropped && counts.kept >= 1,
+            "test premise: the re-run recomputes a replaced track's unit and \
+             one whose foreign edges changed, and keeps another: {counts:?}"
+        );
+        let (full, _) = decode_by_stages(&cfg, &signal, true);
+        for (name, other) in [("stage calls", &by_stages), ("full recompute", &full)] {
+            assert_eq!(bit_pattern(&by_run), bit_pattern(other), "{name}: outputs");
+            assert_eq!(
+                format!("{:?}", by_run.provenance),
+                format!("{:?}", other.provenance),
+                "{name}: provenance"
             );
         }
     }

@@ -151,25 +151,52 @@ pub fn foreign_edges_into(
     cfg: &DecoderConfig,
     out: &mut Vec<(f64, Complex)>,
 ) {
-    let companion_radius = (2.0 * cfg.edge_width).max(stream.period_est / 64.0) + cfg.edge_width;
+    let test = ForeignTest::new(stream, stream_index, cfg);
     out.clear();
     for (i, e) in all_edges.iter().enumerate() {
-        match owner.get(i).copied().flatten() {
-            Some(si) if si == stream_index => continue,
-            Some(_) => {
-                out.push((e.time, e.diff));
-                continue;
-            }
-            None => {}
-        }
-        // Orphan: companion if near the slot grid.
-        let idx = stream.slot_times.partition_point(|&t| t < e.time);
-        let near = [idx.wrapping_sub(1), idx]
-            .iter()
-            .filter_map(|&j| stream.slot_times.get(j))
-            .any(|&t| (t - e.time).abs() <= companion_radius);
-        if !near {
+        if test.is_foreign(owner.get(i).copied().flatten(), e.time) {
             out.push((e.time, e.diff));
+        }
+    }
+}
+
+/// The per-edge membership test behind [`foreign_edges`] for one stream:
+/// an edge's membership depends only on its owner, its time and the
+/// stream's slot grid. The decode runner also uses it to tell whether an
+/// edge whose owner changed between carve re-runs changes the stream's
+/// foreign list.
+pub(crate) struct ForeignTest<'a> {
+    stream: &'a TrackedStream,
+    stream_index: usize,
+    companion_radius: f64,
+}
+
+impl<'a> ForeignTest<'a> {
+    /// The test for `stream`, at index `stream_index` of the epoch's
+    /// tracked streams.
+    pub(crate) fn new(stream: &'a TrackedStream, stream_index: usize, cfg: &DecoderConfig) -> Self {
+        ForeignTest {
+            stream,
+            stream_index,
+            companion_radius: (2.0 * cfg.edge_width).max(stream.period_est / 64.0) + cfg.edge_width,
+        }
+    }
+
+    /// Whether an edge at `time` owned by `owner` is foreign to the
+    /// stream (rather than its own or an orphan companion).
+    pub(crate) fn is_foreign(&self, owner: Option<usize>, time: f64) -> bool {
+        match owner {
+            Some(si) => si != self.stream_index,
+            None => {
+                // Orphan: companion if near the slot grid.
+                let slot_times = &self.stream.slot_times;
+                let idx = slot_times.partition_point(|&t| t < time);
+                let near = [idx.wrapping_sub(1), idx]
+                    .iter()
+                    .filter_map(|&j| slot_times.get(j))
+                    .any(|&t| (t - time).abs() <= self.companion_radius);
+                !near
+            }
         }
     }
 }
@@ -358,6 +385,27 @@ mod tests {
         b.matched = vec![None, Some(1), None];
         let owner = edge_owners(&[a, b], 4);
         assert_eq!(owner, vec![Some(0), Some(1), Some(0), None]);
+    }
+
+    #[test]
+    fn edge_owners_into_ignores_a_longer_dirty_buffer() {
+        // A buffer left longer, and filled, by a larger earlier epoch must
+        // come back exactly as a fresh one: the decode runner compares
+        // owner arrays between carve re-runs, so a stale entry would flip
+        // its reuse decisions.
+        let mut big_a = stream(100.0, 100.0, 6);
+        let mut big_b = stream(150.0, 100.0, 6);
+        big_a.matched = (0..6).map(|k| Some(2 * k)).collect();
+        big_b.matched = (0..6).map(|k| Some(2 * k + 1)).collect();
+        let mut buf = Vec::new();
+        edge_owners_into(&[big_a, big_b], 12, &mut buf);
+        assert!(buf.iter().all(Option::is_some), "premise: dirty buffer");
+
+        let mut a = stream(100.0, 100.0, 3);
+        a.matched = vec![None, Some(2), None];
+        let small = [a];
+        edge_owners_into(&small, 4, &mut buf);
+        assert_eq!(buf, edge_owners(&small, 4));
     }
 
     #[test]

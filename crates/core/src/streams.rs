@@ -23,7 +23,7 @@
 //!   candidate most of whose edges are already claimed is an alias or
 //!   zigzag over better-explained streams and is dropped.
 //!
-//! Structural alias checks run per candidate before arbitration:
+//! Structural alias checks guard each acceptance:
 //!
 //! * a majority of matched slots in one residue class mod m means the
 //!   true stream is m× slower (down-alias);
@@ -33,6 +33,17 @@
 //! * interleaved same-rate streams masquerading as one faster stream
 //!   betray themselves through collinear per-residue IQ sub-streams
 //!   combined with per-residue timing bands or direction diversity.
+//!
+//! They run in arbitration, on a candidate that overlaps no claimed edge,
+//! just before it is accepted, rather than on every walked track; most
+//! walked tracks lose to an overlap and are never checked. This gives the
+//! same streams as checking every track straight after its walk. A check
+//! reads only the candidate, the edge arena and the claimed mask as the
+//! round's gather left it (arbitration keeps a copy), so its verdict is
+//! the one an eager check would give. A candidate that fails is dropped
+//! on either path and claims nothing. The ranking sort is stable, so the
+//! candidates that pass meet arbitration in the same order and against
+//! the same claims.
 //!
 //! Known limitation: two same-rate tags whose offsets align to half a
 //! period within ~2 samples, whose channel vectors are near-parallel
@@ -54,41 +65,9 @@ use lf_types::BitRate;
 /// [`AdmissionGate::EpochEdgeCount`] admission gate).
 const MIN_TRACK_MATCHES: usize = 4;
 
-/// Which structural alias validations a tracking pass applies.
-///
-/// The blind stream search runs them all: they exist to stop a candidate
-/// from locking onto an alias of the true rate. A sub-harmonic *carve*
-/// re-track suspends them — the carve's split test has already
-/// established that the harmonic structure is real (residual edges on the
-/// sub-grid), and the residue-majority check would otherwise veto exactly
-/// the lock the carve is trying to make. The size gates (too few matches,
-/// sparse density) always apply.
-#[derive(Debug, Clone, Copy)]
-struct TrackChecks {
-    residue_majority: bool,
-    up_alias: bool,
-    interleave: bool,
-}
-
-impl TrackChecks {
-    /// All structural validations on — the blind search.
-    fn all() -> Self {
-        TrackChecks {
-            residue_majority: true,
-            up_alias: true,
-            interleave: true,
-        }
-    }
-
-    /// Alias validations suspended — the carve re-track.
-    fn carve() -> Self {
-        TrackChecks {
-            residue_majority: false,
-            up_alias: false,
-            interleave: false,
-        }
-    }
-}
+/// Gather→arbitrate rounds of the blind search (fewer when a round
+/// accepts nothing).
+const SEARCH_ROUNDS: usize = 4;
 
 /// Reusable per-track scratch: an epoch-edge-indexed mask of the edges
 /// the current track has taken, the list of indices set in it, and the
@@ -99,10 +78,12 @@ impl TrackChecks {
 /// dominant cost of the folding stage at ci scale. The mask is O(1) per
 /// probe; clearing only the set bits between tracks keeps reset O(taken)
 /// instead of O(edges). The slot buffers are pooled for a different
-/// reason: the search walks ~6× more candidate tracks than it accepts,
-/// and rejected candidates used to allocate (and immediately free) their
-/// slot vectors — pooling them means only *accepted* tracks pay for an
-/// owned copy.
+/// reason: the search walks many more candidate tracks than pass the size
+/// gates, and rejected walks used to allocate (and immediately free)
+/// their slot vectors — pooling them means only candidates pay for an
+/// owned copy. The acceptance-time alias checks reuse the mask: they
+/// rebuild a candidate's taken set from its `matched` list, which holds
+/// exactly the edges its walk took.
 #[derive(Debug, Default)]
 struct TrackScratch {
     taken_mask: Vec<bool>,
@@ -115,7 +96,8 @@ struct TrackScratch {
 
 impl TrackScratch {
     /// Prepares the scratch for an epoch with `n_edges` edges. Bits set
-    /// by a previous track have already been cleared by [`track_stream`].
+    /// by a previous user have already been cleared by [`track_stream`]
+    /// or [`passes_alias_checks`].
     fn reset_for(&mut self, n_edges: usize) {
         if self.taken_mask.len() < n_edges {
             self.taken_mask.resize(n_edges, false);
@@ -153,10 +135,16 @@ const EDGE_INDEX_SHIFT: usize = 6;
 /// a binary search. The tracker probes a slot window once per predicted
 /// slot of every candidate track (tens of thousands of probes per epoch
 /// at ci scale), and the branchy `partition_point` over the edge list was
-/// the single largest cost of the folding stage. The index works on the
-/// SoA `times` array (not the `EdgeEvent` structs): the probe loop walks
-/// times and strengths only, and the struct-of-arrays layout keeps those
-/// walks on dense cache lines (see DESIGN.md §15).
+/// the single largest cost of the folding stage. Every probe takes its
+/// start from here rather than from a per-track cursor nudged forward
+/// from the epoch's first edge: that is no cheaper per probe, and it
+/// steps over every edge up to the track's end — ~15k edges per track on
+/// a 1M-sample epoch, most of them between the few slots of a slow-rate
+/// track. The index works
+/// on the SoA `times` array (not the `EdgeEvent` structs): the probe loop
+/// walks times and strengths only, and the struct-of-arrays layout keeps
+/// those walks on dense cache lines (see DESIGN.md §15).
+#[derive(Debug)]
 struct EdgeTimeIndex {
     /// `bucket[b]` = index of the first edge with `time >= b << SHIFT`.
     bucket: Vec<u32>,
@@ -194,6 +182,33 @@ impl EdgeTimeIndex {
             i += 1;
         }
         i
+    }
+}
+
+/// SoA views of one epoch's edge arena, built once per epoch and shared
+/// by the blind search and every carve re-track. The tracker's window
+/// probes and the fold table touch only times and strengths, and walking
+/// them as dense f64 arrays instead of 40-byte `EdgeEvent` structs keeps
+/// the hot loops on contiguous cache lines (DESIGN.md §15). The `diff`
+/// field is only read by the alias checks, straight from the edges.
+#[derive(Debug)]
+pub(crate) struct EdgeViews {
+    times: Vec<f64>,
+    strengths: Vec<f64>,
+    index: EdgeTimeIndex,
+}
+
+impl EdgeViews {
+    /// The views of `edges` (sorted by time) in an `n_samples` capture.
+    pub(crate) fn build(edges: &[EdgeEvent], n_samples: usize) -> Self {
+        let times: Vec<f64> = edges.iter().map(|e| e.time).collect();
+        let strengths = edges.iter().map(|e| e.strength).collect();
+        let index = EdgeTimeIndex::build(&times, n_samples);
+        EdgeViews {
+            times,
+            strengths,
+            index,
+        }
     }
 }
 
@@ -252,14 +267,16 @@ pub fn find_streams(
     n_samples: usize,
     cfg: &DecoderConfig,
 ) -> Vec<TrackedStream> {
+    let views = EdgeViews::build(edges, n_samples);
     let mut hists = Vec::new();
     let mut admission = Vec::new();
-    find_streams_with(edges, n_samples, cfg, &mut hists, &mut admission)
+    find_streams_with(edges, &views, n_samples, cfg, &mut hists, &mut admission)
 }
 
-/// As [`find_streams`], but folding into caller-owned scratch histograms
-/// (one per candidate rate, reused across gather rounds) and recording
-/// admission-cascade rejections into `admission`.
+/// As [`find_streams`], but over the epoch's prebuilt edge `views`,
+/// folding into caller-owned scratch histograms (one per candidate rate,
+/// reused across gather rounds) and recording admission-cascade
+/// rejections into `admission`.
 ///
 /// The admission gates are *exact* short-circuits — each one skips work
 /// only when a cheap bound proves the skipped pass could not have
@@ -268,6 +285,7 @@ pub fn find_streams(
 /// of silent.
 pub(crate) fn find_streams_with(
     edges: &[EdgeEvent],
+    views: &EdgeViews,
     n_samples: usize,
     cfg: &DecoderConfig,
     hists: &mut Vec<FoldedHistogram>,
@@ -288,118 +306,38 @@ pub(crate) fn find_streams_with(
         return Vec::new();
     }
     let mut claimed = vec![false; edges.len()];
-    // SoA views of the edge arena: the tracker's window probes and the
-    // fold table touch only times and strengths, and walking them as
-    // dense f64 arrays instead of 40-byte `EdgeEvent` structs keeps the
-    // hot loops on contiguous cache lines (DESIGN.md §15). The `diff`
-    // field is only read by the (rare) alias validations, straight from
-    // `edges`.
-    let times: Vec<f64> = edges.iter().map(|e| e.time).collect();
-    let strengths: Vec<f64> = edges.iter().map(|e| e.strength).collect();
+    // The claimed mask as the current round's gather saw it: the alias
+    // checks read this copy, not the mask arbitration is filling.
+    let mut gathered: Vec<bool> = Vec::with_capacity(edges.len());
     // One resumable fold table over the whole edge arena: each gather
     // round re-folds the still-active events at every candidate period;
     // claiming a stream's edges retires them from every later fold
     // without rebuilding the event arrays.
-    let mut table = FoldTable::with_unit_weights(times.clone());
+    let mut table = FoldTable::with_unit_weights(views.times.clone());
     let mut streams: Vec<TrackedStream> = Vec::new();
     let mut scratch = TrackScratch::default();
-    let index = EdgeTimeIndex::build(&times, n_samples);
-    let base = cfg.rate_plan.base_bps();
-    let mut rate_folds: Vec<RateFold> = Vec::new();
-    let mut specs: Vec<FoldSpec> = Vec::new();
-    for round in 0..4 {
-        rate_folds.clear();
-        specs.clear();
-        for &rate in cfg.rate_plan.rates() {
-            let rate_bps = rate.bps(base);
-            let period = cfg.period_samples(rate_bps);
-            // Need at least a handful of bit periods in the capture to
-            // lock (a rate-plan/epoch-shape property, not a data gate).
-            if period * 4.0 > n_samples as f64 {
-                continue;
-            }
-            let bin_width = cfg.edge_width.max(period / 256.0);
-            let nbins = ((period / bin_width).round() as usize).clamp(8, 4096);
-            let window_bits = (bin_width / (cfg.drift_tolerance * period)).clamp(8.0, 1e9);
-            let window_samples = (window_bits * period).min(n_samples as f64);
-            let window_bits_actual = window_samples / period;
-            let min_weight = (cfg.min_stream_fill * window_bits_actual * 0.5).max(3.0);
-            let end = times.partition_point(|&t| t < window_samples);
-            let in_window = claimed[..end].iter().filter(|&&c| !c).count();
-            // Rate admission gate: with unit weights no fold bin can
-            // outweigh the in-window event count, so a count below the
-            // peak threshold means the fold could not have produced a
-            // single peak — skip folding and tracking for this rate.
-            if (in_window as f64) < min_weight {
-                admission.push(AdmissionRecord {
-                    gate: AdmissionGate::RateWindowCount,
-                    round,
-                    rate_bps: Some(rate_bps),
-                    observed: in_window as f64,
-                    required: min_weight,
-                });
-                continue;
-            }
-            rate_folds.push(RateFold {
-                rate,
-                period,
-                bin_width,
-                window_bits_actual,
-                min_weight,
-                end,
-            });
-            specs.push(FoldSpec {
-                period,
-                nbins,
-                t_max: window_samples,
-            });
-        }
-        // Batched multi-period fold: one pass over the still-active
-        // events accumulates every admitted rate's histogram.
-        table.fold_many_within_to(&specs, hists);
-        let mut candidates = Vec::new();
-        for (rf, hist) in rate_folds.iter().zip(hists.iter()) {
-            gather_candidates(
-                edges,
-                &times,
-                &strengths,
-                &claimed,
-                rf,
-                hist,
-                n_samples,
-                cfg,
-                &mut scratch,
-                &index,
-                &mut candidates,
-            );
-        }
-        // Rank by explanatory power weighted by track quality: matched
-        // edges times a Gaussian penalty on residual dispersion. This puts
-        // a clean 200-edge stream above both a pristine 7-edge fragment (a
-        // slow hypothesis carving a fast stream) and a 270-edge zigzag
-        // with several samples of dispersion. Ties (one stream explained
-        // at its true rate vs. a divisor rate, both clean) go to the
-        // faster rate — the divisor track explains only a subset.
-        let score = |c: &TrackedStream| {
-            let q = (c.residual_std / 3.0).powi(2);
-            c.n_matched() as f64 * (-q).exp()
-        };
-        // Score once per candidate: `n_matched` walks the slot list, so
-        // evaluating it inside the comparator would rescan every track
-        // O(n log n) times.
-        let mut scored: Vec<(f64, TrackedStream)> =
-            candidates.into_iter().map(|c| (score(&c), c)).collect();
-        scored.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then(b.1.rate_bps.total_cmp(&a.1.rate_bps))
-        });
-        let candidates: Vec<TrackedStream> = scored.into_iter().map(|(_, c)| c).collect();
+    for round in 0..SEARCH_ROUNDS {
+        let candidates = gather_round(
+            views,
+            &claimed,
+            &mut table,
+            round,
+            n_samples,
+            cfg,
+            hists,
+            admission,
+            &mut scratch,
+        );
+        let _span = lf_obs::span!("streams.arbitrate");
+        gathered.clone_from(&claimed);
         let mut accepted_any = false;
-        for cand in candidates {
-            let matched: Vec<usize> = cand.matched.iter().flatten().copied().collect();
+        for cand in rank(candidates) {
             // Within a round, overlapping candidates lose to the better-
             // ranked one; the next round re-tracks whatever is left.
-            if matched.iter().any(|&i| claimed[i]) {
+            if cand.matched.iter().flatten().any(|&i| claimed[i]) {
+                continue;
+            }
+            if !passes_alias_checks(edges, views, &gathered, &cand, cfg, &mut scratch) {
                 continue;
             }
             lf_obs::event!(
@@ -407,10 +345,10 @@ pub(crate) fn find_streams_with(
                 "accept rate={} offset={:.1} matched={} std={:.2}",
                 cand.rate_bps,
                 cand.offset,
-                matched.len(),
+                cand.n_matched(),
                 cand.residual_std
             );
-            for i in matched {
+            for &i in cand.matched.iter().flatten() {
                 claimed[i] = true;
                 table.retire(i);
             }
@@ -424,10 +362,118 @@ pub(crate) fn find_streams_with(
     streams
 }
 
+/// One gather pass of the blind search: fold the still-unclaimed edges
+/// at every admitted rate in one batched pass, then walk a candidate
+/// track from each fold peak. Returns the walks that pass the size gates,
+/// in rate-plan then peak order; the alias checks are left to
+/// arbitration.
+#[allow(clippy::too_many_arguments)]
+fn gather_round(
+    views: &EdgeViews,
+    claimed: &[bool],
+    table: &mut FoldTable,
+    round: usize,
+    n_samples: usize,
+    cfg: &DecoderConfig,
+    hists: &mut Vec<FoldedHistogram>,
+    admission: &mut Vec<AdmissionRecord>,
+    scratch: &mut TrackScratch,
+) -> Vec<TrackedStream> {
+    let base = cfg.rate_plan.base_bps();
+    let mut rate_folds: Vec<RateFold> = Vec::new();
+    let mut specs: Vec<FoldSpec> = Vec::new();
+    for &rate in cfg.rate_plan.rates() {
+        let rate_bps = rate.bps(base);
+        let period = cfg.period_samples(rate_bps);
+        // Need at least a handful of bit periods in the capture to
+        // lock (a rate-plan/epoch-shape property, not a data gate).
+        if period * 4.0 > n_samples as f64 {
+            continue;
+        }
+        let bin_width = cfg.edge_width.max(period / 256.0);
+        let nbins = ((period / bin_width).round() as usize).clamp(8, 4096);
+        let window_bits = (bin_width / (cfg.drift_tolerance * period)).clamp(8.0, 1e9);
+        let window_samples = (window_bits * period).min(n_samples as f64);
+        let window_bits_actual = window_samples / period;
+        let min_weight = (cfg.min_stream_fill * window_bits_actual * 0.5).max(3.0);
+        let end = views.times.partition_point(|&t| t < window_samples);
+        let in_window = claimed[..end].iter().filter(|&&c| !c).count();
+        // Rate admission gate: with unit weights no fold bin can
+        // outweigh the in-window event count, so a count below the
+        // peak threshold means the fold could not have produced a
+        // single peak — skip folding and tracking for this rate.
+        if (in_window as f64) < min_weight {
+            admission.push(AdmissionRecord {
+                gate: AdmissionGate::RateWindowCount,
+                round,
+                rate_bps: Some(rate_bps),
+                observed: in_window as f64,
+                required: min_weight,
+            });
+            continue;
+        }
+        rate_folds.push(RateFold {
+            rate,
+            period,
+            bin_width,
+            window_bits_actual,
+            min_weight,
+            end,
+        });
+        specs.push(FoldSpec {
+            period,
+            nbins,
+            t_max: window_samples,
+        });
+    }
+    // Batched multi-period fold: one pass over the still-active
+    // events accumulates every admitted rate's histogram.
+    table.fold_many_within_to(&specs, hists);
+    let _span = lf_obs::span!("streams.gather");
+    let mut candidates = Vec::new();
+    for (rf, hist) in rate_folds.iter().zip(hists.iter()) {
+        gather_candidates(
+            views,
+            claimed,
+            rf,
+            hist,
+            n_samples,
+            cfg,
+            scratch,
+            &mut candidates,
+        );
+    }
+    candidates
+}
+
+/// Ranks one round's candidates by explanatory power weighted by track
+/// quality: matched edges times a Gaussian penalty on residual
+/// dispersion. This puts a clean 200-edge stream above both a pristine
+/// 7-edge fragment (a slow hypothesis carving a fast stream) and a
+/// 270-edge zigzag with several samples of dispersion. Ties (one stream
+/// explained at its true rate vs. a divisor rate, both clean) go to the
+/// faster rate — the divisor track explains only a subset. The sort is
+/// stable, so equal candidates keep their gather order.
+fn rank(candidates: Vec<TrackedStream>) -> Vec<TrackedStream> {
+    let score = |c: &TrackedStream| {
+        let q = (c.residual_std / 3.0).powi(2);
+        c.n_matched() as f64 * (-q).exp()
+    };
+    // Score once per candidate: `n_matched` walks the slot list, so
+    // evaluating it inside the comparator would rescan every track
+    // O(n log n) times.
+    let mut scored: Vec<(f64, TrackedStream)> =
+        candidates.into_iter().map(|c| (score(&c), c)).collect();
+    scored.sort_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then(b.1.rate_bps.total_cmp(&a.1.rate_bps))
+    });
+    scored.into_iter().map(|(_, c)| c).collect()
+}
+
 /// Pre-computed fold/track parameters of one admitted rate hypothesis:
-/// everything [`find_streams_with`]'s per-round loop derives before the
-/// batched fold, carried over to the gather pass that consumes the
-/// histogram.
+/// everything [`gather_round`] derives before the batched fold, carried
+/// over to the gather pass that consumes the histogram.
 struct RateFold {
     rate: BitRate,
     /// Nominal bit period in samples.
@@ -444,21 +490,19 @@ struct RateFold {
 
 /// One gather pass over one admitted rate: read the batch-folded
 /// histogram's peaks, seed and track each, and append the candidates that
-/// pass the structural validations.
+/// pass the size gates.
 #[allow(clippy::too_many_arguments)]
 fn gather_candidates(
-    edges: &[EdgeEvent],
-    times: &[f64],
-    strengths: &[f64],
+    views: &EdgeViews,
     claimed: &[bool],
     rf: &RateFold,
     hist: &FoldedHistogram,
     n_samples: usize,
     cfg: &DecoderConfig,
     scratch: &mut TrackScratch,
-    index: &EdgeTimeIndex,
     candidates: &mut Vec<TrackedStream>,
 ) {
+    let times = &views.times;
     let peaks = hist.peaks(rf.min_weight, 2);
     let mean_weight = hist.bins.iter().sum::<f64>() / hist.bins.len() as f64;
     for (pi, &(bin, weight)) in peaks.iter().enumerate() {
@@ -487,18 +531,7 @@ fn gather_candidates(
         });
         let Some(seed_idx) = seed else { continue };
         if let Some(mut tracked) = track_stream(
-            edges,
-            times,
-            strengths,
-            claimed,
-            seed_idx,
-            rf.rate,
-            rf.period,
-            n_samples,
-            cfg,
-            TrackChecks::all(),
-            scratch,
-            index,
+            views, claimed, seed_idx, rf.rate, rf.period, n_samples, cfg, scratch,
         ) {
             tracked.fold = fold;
             candidates.push(tracked);
@@ -507,12 +540,15 @@ fn gather_candidates(
 }
 
 /// Re-tracks a carved stream at a harmonic of its fused rate, seeded from
-/// a known-good edge, matching only unclaimed edges. The structural alias
-/// validations are suspended ([`TrackChecks::carve`]) — the caller's
-/// split test already established the harmonic structure — but the size
-/// gates (too few matches, sparse density) still apply.
+/// a known-good edge, matching only unclaimed edges, over the epoch's
+/// edge `views` (the ones the blind search used: a dense epoch makes
+/// dozens of carve requests, so rebuilding them per call is not free).
+/// No structural alias check runs here: the caller's split test already
+/// established the harmonic structure, and the residue-majority check
+/// would veto exactly the lock the carve is making. The size gates (too
+/// few matches, sparse density) still apply.
 pub(crate) fn retrack_at_harmonic(
-    edges: &[EdgeEvent],
+    views: &EdgeViews,
     claimed: &[bool],
     seed_idx: usize,
     rate: BitRate,
@@ -520,60 +556,60 @@ pub(crate) fn retrack_at_harmonic(
     cfg: &DecoderConfig,
 ) -> Option<TrackedStream> {
     let nominal_period = cfg.period_samples(rate.bps(cfg.rate_plan.base_bps()));
-    // Cold path (at most a few carves per epoch): building the SoA views
-    // and the index here is noise next to the blind search.
-    let times: Vec<f64> = edges.iter().map(|e| e.time).collect();
-    let strengths: Vec<f64> = edges.iter().map(|e| e.strength).collect();
-    let index = EdgeTimeIndex::build(&times, n_samples);
     track_stream(
-        edges,
-        &times,
-        &strengths,
+        views,
         claimed,
         seed_idx,
         rate,
         nominal_period,
         n_samples,
         cfg,
-        TrackChecks::carve(),
         &mut TrackScratch::default(),
-        &index,
     )
 }
 
+/// The tracker's matching tolerance after `coast` slots without a match.
+///
+/// The slot prediction is good to ~a sample right after a match, but
+/// while *coasting* over flat (no-edge) slots the residual period error
+/// compounds — c slots of coasting accumulate up to c × (drift-tolerance
+/// × period) of drift. The window therefore grows with the coast length
+/// and snaps tight again on every match. (A fixed proportional window —
+/// the obvious alternative — is either too tight for sparse slow streams
+/// or so wide it hoovers up neighbours' edges and turns the track into
+/// junk.)
+fn match_tolerance(cfg: &DecoderConfig, nominal_period: f64, coast: usize) -> f64 {
+    let base = 2.0 * cfg.edge_width;
+    let growth = 2.5 * cfg.drift_tolerance * nominal_period * coast as f64;
+    let cap = base.max(nominal_period / 64.0);
+    (base + growth).min(cap).max(base)
+}
+
 /// Tracks one stream from a seed edge, matching only unclaimed edges.
-/// Returns `None` when the candidate fails the validations `checks`
-/// selects (too few matches, rate aliases). Restores `scratch`'s mask to
-/// all-clear on every exit path.
+/// Returns `None` when the walk fails the size gates (too few matches,
+/// sparse density). Restores `scratch`'s mask to all-clear on every exit
+/// path.
 #[allow(clippy::too_many_arguments)]
 fn track_stream(
-    edges: &[EdgeEvent],
-    times: &[f64],
-    strengths: &[f64],
+    views: &EdgeViews,
     claimed: &[bool],
     seed_idx: usize,
     rate: BitRate,
     nominal_period: f64,
     n_samples: usize,
     cfg: &DecoderConfig,
-    checks: TrackChecks,
     scratch: &mut TrackScratch,
-    index: &EdgeTimeIndex,
 ) -> Option<TrackedStream> {
-    scratch.reset_for(edges.len());
+    scratch.reset_for(views.times.len());
     let result = track_stream_impl(
-        edges,
-        times,
-        strengths,
+        views,
         claimed,
         seed_idx,
         rate,
         nominal_period,
         n_samples,
         cfg,
-        checks,
         scratch,
-        index,
     );
     scratch.clear_taken();
     result
@@ -583,33 +619,16 @@ fn track_stream(
 /// return with bits set — the wrapper clears them.
 #[allow(clippy::too_many_arguments)]
 fn track_stream_impl(
-    edges: &[EdgeEvent],
-    times: &[f64],
-    strengths: &[f64],
+    views: &EdgeViews,
     claimed: &[bool],
     seed_idx: usize,
     rate: BitRate,
     nominal_period: f64,
     n_samples: usize,
     cfg: &DecoderConfig,
-    checks: TrackChecks,
     scratch: &mut TrackScratch,
-    index: &EdgeTimeIndex,
 ) -> Option<TrackedStream> {
-    // Matching tolerance: the slot prediction is good to ~a sample right
-    // after a match, but while *coasting* over flat (no-edge) slots the
-    // residual period error compounds — c slots of coasting accumulate up
-    // to c × (drift-tolerance × period) of drift. The window therefore
-    // grows with the coast length and snaps tight again on every match.
-    // (A fixed proportional window — the obvious alternative — is either
-    // too tight for sparse slow streams or so wide it hoovers up
-    // neighbours' edges and turns the track into junk.)
-    let tol_at = |coast: usize| {
-        let base = 2.0 * cfg.edge_width;
-        let growth = 2.5 * cfg.drift_tolerance * nominal_period * coast as f64;
-        let cap = base.max(nominal_period / 64.0);
-        (base + growth).min(cap).max(base)
-    };
+    let times = &views.times;
     // The tracked period may deviate from nominal by drift tolerance plus
     // a little measurement slack.
     let max_period_dev = nominal_period * (cfg.drift_tolerance * 2.0) + 0.5;
@@ -623,26 +642,11 @@ fn track_stream_impl(
     let mut k = 0usize;
 
     let mut coast = 1usize;
-    // Window cursor: the predicted slot times are (nearly) monotone, so the
-    // first edge at-or-after each window's lower bound is found by nudging
-    // a cursor forward instead of an indexed lookup per slot; the helper
-    // verifies the cursor and falls back to the index when the bound ever
-    // steps backwards, so the result is exactly `partition_point`.
-    let mut cursor = 0usize;
     while t + period_est < n_samples as f64 {
         k += 1;
         let pred = t + period_est;
-        let tol = tol_at(coast);
-        let best = strongest_edge_in(
-            times,
-            strengths,
-            claimed,
-            &scratch.taken_mask,
-            index,
-            &mut cursor,
-            pred - tol,
-            pred + tol,
-        );
+        let tol = match_tolerance(cfg, nominal_period, coast);
+        let best = strongest_edge_in(views, claimed, &scratch.taken_mask, pred - tol, pred + tol);
         match best {
             Some(idx) => {
                 let et = times[idx];
@@ -676,11 +680,8 @@ fn track_stream_impl(
         scratch.slot_times.push(t);
     }
 
-    // --- Validation ---
-    // From here on the walk buffers are read-only; borrow them as slices
-    // so the checks read like the data they scan.
+    // --- Size gates ---
     let matched: &[Option<usize>] = &scratch.matched;
-    let slot_times: &[f64] = &scratch.slot_times;
     let n_matched = matched.iter().filter(|m| m.is_some()).count();
     if n_matched < MIN_TRACK_MATCHES {
         lf_obs::event!(
@@ -707,32 +708,6 @@ fn track_stream_impl(
         );
         return None;
     }
-    // Rate-alias check: when (almost) all matched slot indices fall into
-    // one residue class mod m ≥ 2, the edges are really an m×-slower
-    // stream folded onto this rate's grid. A strict gcd test would be
-    // defeated by a single stray noise match, so require only an 85 %
-    // majority.
-    if checks.residue_majority {
-        for m in [2usize, 3, 4, 5] {
-            let mut counts = [0usize; 5];
-            for (slot, mm) in matched.iter().enumerate() {
-                if mm.is_some() {
-                    counts[slot % m] += 1;
-                }
-            }
-            let majority = counts[..m].iter().copied().max().unwrap_or(0);
-            if majority as f64 >= 0.85 * n_matched as f64 {
-                lf_obs::event!(
-                    Debug,
-                    "reject rate={} t0={:.1} n={} reason=residue_majority",
-                    rate.bps(cfg.rate_plan.base_bps()),
-                    t0,
-                    n_matched
-                );
-                return None;
-            }
-        }
-    }
     // Residual dispersion around the fitted line — the arbitration
     // quality metric. Iterates the match buffer directly (in slot order,
     // exactly the order the old materialized pair list had) so the sums
@@ -754,21 +729,103 @@ fn track_stream_impl(
     }
     let residual_std = (var_sum / n_matched as f64).sqrt();
 
+    Some(TrackedStream {
+        rate,
+        rate_bps: rate.bps(cfg.rate_plan.base_bps()),
+        nominal_period,
+        period_est,
+        offset: t0,
+        slot_times: scratch.slot_times.clone(),
+        matched: scratch.matched.clone(),
+        residual_std,
+        // The caller (gather_candidates) fills this in from the fold peak
+        // that seeded the track.
+        fold: FoldProvenance::default(),
+    })
+}
+
+/// The structural alias checks (module docs) on a candidate arbitration
+/// is about to accept. `claimed` is the claimed mask as the candidate's
+/// gather round saw it; the candidate's own taken set is rebuilt in
+/// `scratch` from its `matched` list, which holds exactly the edges its
+/// walk took. Returns `false` when the candidate is an alias of another
+/// rate (or of interleaved same-rate streams). Restores `scratch`'s mask
+/// to all-clear.
+fn passes_alias_checks(
+    edges: &[EdgeEvent],
+    views: &EdgeViews,
+    claimed: &[bool],
+    cand: &TrackedStream,
+    cfg: &DecoderConfig,
+    scratch: &mut TrackScratch,
+) -> bool {
+    scratch.reset_for(edges.len());
+    for &i in cand.matched.iter().flatten() {
+        scratch.take(i);
+    }
+    let pass = alias_checks_pass(edges, views, claimed, &scratch.taken_mask, cand, cfg);
+    scratch.clear_taken();
+    pass
+}
+
+/// [`passes_alias_checks`]'s body over the candidate's rebuilt
+/// `taken_mask`.
+fn alias_checks_pass(
+    edges: &[EdgeEvent],
+    views: &EdgeViews,
+    claimed: &[bool],
+    taken_mask: &[bool],
+    cand: &TrackedStream,
+    cfg: &DecoderConfig,
+) -> bool {
+    let times = &views.times;
+    let matched: &[Option<usize>] = &cand.matched;
+    let slot_times: &[f64] = &cand.slot_times;
+    let rate = cand.rate;
+    let t0 = cand.offset;
+    let n_matched = cand.n_matched();
+    // Rate-alias check: when (almost) all matched slot indices fall into
+    // one residue class mod m ≥ 2, the edges are really an m×-slower
+    // stream folded onto this rate's grid. A strict gcd test would be
+    // defeated by a single stray noise match, so require only an 85 %
+    // majority.
+    for m in [2usize, 3, 4, 5] {
+        let mut counts = [0usize; 5];
+        for (slot, mm) in matched.iter().enumerate() {
+            if mm.is_some() {
+                counts[slot % m] += 1;
+            }
+        }
+        let majority = counts[..m].iter().copied().max().unwrap_or(0);
+        if majority as f64 >= 0.85 * n_matched as f64 {
+            lf_obs::event!(
+                Debug,
+                "reject rate={} t0={:.1} n={} reason=residue_majority",
+                cand.rate_bps,
+                t0,
+                n_matched
+            );
+            return false;
+        }
+    }
+    // The residuals around the fitted line, as the tracker measured them.
+    let residual_of = |slot: usize, idx: usize| times[idx] - (t0 + slot as f64 * cand.period_est);
+
     // Super-rate (up-alias) check: a stream at rate m·r lands an edge on
     // every m-th boundary of the rate-r grid, so a rate-r hypothesis over
     // it looks perfectly healthy — while explaining only 1/m of the
     // edges. The tell: the *inter-slot* positions (slot + j·period/m)
     // hold about as many unexplained edges as the track matched. Reject
     // and let the faster hypothesis claim the stream whole.
-    for m in [2usize, 3].into_iter().filter(|_| checks.up_alias) {
+    for m in [2usize, 3] {
         let Ok(sup) = BitRate::from_multiple(rate.multiple().saturating_mul(m as u32)) else {
             continue;
         };
         if !cfg.rate_plan.contains(sup) {
             continue;
         }
-        let sub_period = nominal_period / m as f64;
-        let probe = tol_at(1);
+        let sub_period = cand.nominal_period / m as f64;
+        let probe = match_tolerance(cfg, cand.nominal_period, 1);
         let mut between_diffs: Vec<lf_types::Complex> = Vec::new();
         // A genuine up-alias matches essentially every inter-slot
         // position, so the hit count must reach 70 % of the probes. The
@@ -787,12 +844,12 @@ fn track_stream_impl(
                     break 'positions;
                 }
                 let pos = t + j as f64 * sub_period;
-                let start = index.start_of(times, pos - probe);
+                let start = views.index.start_of(times, pos - probe);
                 for (i, &et) in times.iter().enumerate().skip(start) {
                     if et > pos + probe {
                         break;
                     }
-                    if !claimed[i] && !scratch.taken_mask[i] {
+                    if !claimed[i] && !taken_mask[i] {
                         between_diffs.push(edges[i].diff);
                         break;
                     }
@@ -814,7 +871,7 @@ fn track_stream_impl(
             .collect();
         union.extend(between_diffs);
         if collinearity_ratio(&union) < 0.1 {
-            return None;
+            return false;
         }
     }
 
@@ -836,7 +893,7 @@ fn track_stream_impl(
     // distinct or near-parallel channel vectors, while leaving mixed-rate
     // deployments (where a 50 kbps neighbour periodically lands on one
     // parity of a 100 kbps stream) alone.
-    if checks.interleave && n_matched >= 6 {
+    if n_matched >= 6 {
         // The whole-set diversity scatter costs a `hypot` per matched
         // edge; it only matters once a partition passes (a), which most
         // candidates never reach — compute it on first use and cache.
@@ -900,59 +957,30 @@ fn track_stream_impl(
                 lf_obs::event!(
                     Debug,
                     "reject rate={} t0={:.1} n={} reason=interleave",
-                    rate.bps(cfg.rate_plan.base_bps()),
+                    cand.rate_bps,
                     t0,
                     n_matched
                 );
-                return None;
+                return false;
             }
         }
     }
-
-    Some(TrackedStream {
-        rate,
-        rate_bps: rate.bps(cfg.rate_plan.base_bps()),
-        nominal_period,
-        period_est,
-        offset: t0,
-        slot_times: scratch.slot_times.clone(),
-        matched: scratch.matched.clone(),
-        residual_std,
-        // The caller (gather_candidates) fills this in from the fold peak
-        // that seeded the track.
-        fold: FoldProvenance::default(),
-    })
+    true
 }
 
 /// Strongest unclaimed edge in `[lo, hi]` not already taken by this
 /// track (`taken_mask` is epoch-edge indexed). Times are sorted, so the
-/// window is a cursor advance plus a short scan over the SoA arrays.
-///
-/// `cursor` is a per-track hint for `partition_point(|&x| x < lo)`: the
-/// tracker's window lower bounds are monotone in the common case, so the
-/// cursor only nudges forward. The invariant is re-checked every call
-/// (`times[cursor - 1] < lo`), and any backwards-stepping bound falls
-/// back to the bucketed index — the returned start is *exactly* the
-/// partition point on every path, so the probe result is identical to an
-/// unhinted lookup.
-#[allow(clippy::too_many_arguments)]
+/// window is one [`EdgeTimeIndex::start_of`] lookup — exactly the
+/// partition point of `lo` — plus a short scan over the SoA arrays.
 fn strongest_edge_in(
-    times: &[f64],
-    strengths: &[f64],
+    views: &EdgeViews,
     claimed: &[bool],
     taken_mask: &[bool],
-    index: &EdgeTimeIndex,
-    cursor: &mut usize,
     lo: f64,
     hi: f64,
 ) -> Option<usize> {
-    while *cursor < times.len() && times[*cursor] < lo {
-        *cursor += 1;
-    }
-    if *cursor > 0 && times[*cursor - 1] >= lo {
-        *cursor = index.start_of(times, lo);
-    }
-    let start = *cursor;
+    let (times, strengths) = (&views.times, &views.strengths);
+    let start = views.index.start_of(times, lo);
     let mut best: Option<usize> = None;
     for (i, &t) in times.iter().enumerate().skip(start) {
         if t > hi {
@@ -1007,12 +1035,97 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
+    use crate::edges::detect_edges;
     use lf_types::{Complex, RatePlan, SampleRate};
+    use proptest::prelude::*;
 
     fn cfg() -> DecoderConfig {
         let mut c = DecoderConfig::at_sample_rate(SampleRate::from_msps(1.0));
         c.rate_plan = RatePlan::from_bps(100.0, &[5_000.0, 10_000.0, 20_000.0, 40_000.0]).unwrap();
         c
+    }
+
+    /// The search in its old order, as the reference for the
+    /// acceptance-time alias checks: every gathered candidate is checked
+    /// straight after the gather, against the claims the gather saw, and
+    /// arbitration accepts without checking.
+    fn find_streams_eager(
+        edges: &[EdgeEvent],
+        n_samples: usize,
+        cfg: &DecoderConfig,
+    ) -> Vec<TrackedStream> {
+        let views = EdgeViews::build(edges, n_samples);
+        let mut claimed = vec![false; edges.len()];
+        let mut table = FoldTable::with_unit_weights(views.times.clone());
+        let mut scratch = TrackScratch::default();
+        let (mut hists, mut admission) = (Vec::new(), Vec::new());
+        let mut streams = Vec::new();
+        for round in 0..SEARCH_ROUNDS {
+            let mut candidates = gather_round(
+                &views,
+                &claimed,
+                &mut table,
+                round,
+                n_samples,
+                cfg,
+                &mut hists,
+                &mut admission,
+                &mut scratch,
+            );
+            candidates
+                .retain(|c| passes_alias_checks(edges, &views, &claimed, c, cfg, &mut scratch));
+            let mut accepted_any = false;
+            for cand in rank(candidates) {
+                if cand.matched.iter().flatten().any(|&i| claimed[i]) {
+                    continue;
+                }
+                for &i in cand.matched.iter().flatten() {
+                    claimed[i] = true;
+                    table.retire(i);
+                }
+                streams.push(cand);
+                accepted_any = true;
+            }
+            if !accepted_any {
+                break;
+            }
+        }
+        streams
+    }
+
+    /// Every field of every stream as its exact bit pattern.
+    fn stream_bits(streams: &[TrackedStream]) -> Vec<u64> {
+        let mut out = vec![streams.len() as u64];
+        for s in streams {
+            out.extend([
+                u64::from(s.rate.multiple()),
+                s.rate_bps.to_bits(),
+                s.nominal_period.to_bits(),
+                s.period_est.to_bits(),
+                s.offset.to_bits(),
+                s.residual_std.to_bits(),
+                s.fold.peak_weight.to_bits(),
+                s.fold.runner_up_weight.to_bits(),
+                s.fold.mean_weight.to_bits(),
+                s.fold.single_tag_ceiling.to_bits(),
+                s.slot_times.len() as u64,
+            ]);
+            out.extend(s.slot_times.iter().map(|t| t.to_bits()));
+            out.extend(s.matched.iter().map(|m| m.map_or(u64::MAX, |i| i as u64)));
+        }
+        out
+    }
+
+    /// [`find_streams`], checked on the way against the eager-check
+    /// reference bit for bit.
+    fn search(edges: &[EdgeEvent], n_samples: usize, cfg: &DecoderConfig) -> Vec<TrackedStream> {
+        let streams = find_streams(edges, n_samples, cfg);
+        assert_eq!(
+            stream_bits(&streams),
+            stream_bits(&find_streams_eager(edges, n_samples, cfg)),
+            "acceptance-time alias checks diverged from eager ones"
+        );
+        streams
     }
 
     /// Edge events of an NRZ stream with given bits, period, offset.
@@ -1049,7 +1162,7 @@ mod tests {
         let period = 100.0; // 10 kbps at 1 Msps
         let bits = alternating(200);
         let edges = stream_edges(&bits, 57.0, period, Complex::new(0.1, 0.05));
-        let streams = find_streams(&edges, 21_000, &c);
+        let streams = search(&edges, 21_000, &c);
         assert_eq!(streams.len(), 1);
         let s = &streams[0];
         assert_eq!(s.rate_bps, 10_000.0);
@@ -1070,7 +1183,7 @@ mod tests {
         let n_fast = fast.len();
         let n_slow = slow.len();
         let edges = merge(fast, slow);
-        let streams = find_streams(&edges, 21_000, &c);
+        let streams = search(&edges, 21_000, &c);
         assert_eq!(streams.len(), 2);
         let mut rates: Vec<f64> = streams.iter().map(|s| s.rate_bps).collect();
         rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -1089,7 +1202,7 @@ mod tests {
         let mut c = cfg();
         c.rate_plan = RatePlan::from_bps(100.0, &[5_000.0, 10_000.0, 20_000.0]).unwrap();
         let edges = stream_edges(&alternating(100), 40.0, 200.0, Complex::new(0.1, 0.0));
-        let streams = find_streams(&edges, 21_000, &c);
+        let streams = search(&edges, 21_000, &c);
         assert_eq!(streams.len(), 1);
         assert_eq!(streams[0].rate_bps, 5_000.0);
     }
@@ -1101,7 +1214,7 @@ mod tests {
         // rate tie-break must hand the edges to the fast owner.
         let c = cfg();
         let edges = stream_edges(&alternating(200), 40.0, 100.0, Complex::new(0.1, 0.0));
-        let streams = find_streams(&edges, 21_000, &c);
+        let streams = search(&edges, 21_000, &c);
         assert_eq!(streams.len(), 1);
         assert_eq!(streams[0].rate_bps, 10_000.0);
     }
@@ -1112,7 +1225,7 @@ mod tests {
         let a = stream_edges(&alternating(200), 20.0, 100.0, Complex::new(0.1, 0.0));
         let b = stream_edges(&alternating(200), 70.0, 100.0, Complex::new(0.0, 0.1));
         let edges = merge(a, b);
-        let streams = find_streams(&edges, 21_000, &c);
+        let streams = search(&edges, 21_000, &c);
         assert_eq!(streams.len(), 2);
         let mut offsets: Vec<f64> = streams.iter().map(|s| s.offset).collect();
         offsets.sort_by(|x, y| x.partial_cmp(y).unwrap());
@@ -1129,7 +1242,7 @@ mod tests {
         let a = stream_edges(&alternating(200), 20.0, 100.0, Complex::new(0.1, 0.0));
         let b = stream_edges(&alternating(200), 70.0, 100.0, Complex::new(0.0, 0.1));
         let edges = merge(a, b);
-        let streams = find_streams(&edges, 21_000, &c);
+        let streams = search(&edges, 21_000, &c);
         assert!(streams.iter().all(|s| s.rate_bps == 10_000.0));
         assert_eq!(streams.len(), 2);
     }
@@ -1142,7 +1255,7 @@ mod tests {
         let period = 100.02;
         let bits = alternating(200);
         let edges = stream_edges(&bits, 57.0, period, Complex::new(0.1, 0.05));
-        let streams = find_streams(&edges, 21_000, &c);
+        let streams = search(&edges, 21_000, &c);
         assert_eq!(streams.len(), 1);
         let s = &streams[0];
         assert_eq!(s.n_matched(), edges.len(), "drift broke the lock");
@@ -1159,7 +1272,7 @@ mod tests {
         // gaps so the alias check passes).
         let bits: Vec<bool> = (0..300).map(|k| (k % 7 < 3) ^ (k % 11 < 5)).collect();
         let edges = stream_edges(&bits, 25.0, 100.0, Complex::new(0.1, 0.0));
-        let streams = find_streams(&edges, 31_000, &cfg());
+        let streams = search(&edges, 31_000, &cfg());
         assert_eq!(streams.len(), 1);
         assert_eq!(streams[0].rate_bps, 10_000.0);
     }
@@ -1178,7 +1291,7 @@ mod tests {
             })
             .collect();
         edges.sort_by(|a, b| a.time.partial_cmp(&b.time).unwrap());
-        let streams = find_streams(&edges, 21_000, &cfg());
+        let streams = search(&edges, 21_000, &cfg());
         assert!(
             streams.is_empty(),
             "noise produced {} streams",
@@ -1197,7 +1310,7 @@ mod tests {
             .enumerate()
             .filter_map(|(i, e)| (i % 5 != 2).then_some(e))
             .collect();
-        let streams = find_streams(&edges, 21_000, &cfg());
+        let streams = search(&edges, 21_000, &cfg());
         assert_eq!(streams.len(), 1);
         let s = &streams[0];
         assert_eq!(s.n_matched(), total - total.div_ceil(5));
@@ -1218,7 +1331,7 @@ mod tests {
             let h = Complex::from_polar(0.1, 0.9 * k as f64 + 0.2);
             all = merge(all, stream_edges(&bits, off, 100.0, h));
         }
-        let streams = find_streams(&all, 21_000, &c);
+        let streams = search(&all, 21_000, &c);
         // The pile's primary claim must be at 10 kbps with its phase.
         let primary = streams
             .iter()
@@ -1241,8 +1354,109 @@ mod tests {
     #[test]
     fn residual_std_reported() {
         let edges = stream_edges(&alternating(100), 20.0, 100.0, Complex::new(0.1, 0.0));
-        let streams = find_streams(&edges, 11_000, &cfg());
+        let streams = search(&edges, 11_000, &cfg());
         assert_eq!(streams.len(), 1);
         assert!(streams[0].residual_std < 0.1);
+    }
+
+    #[test]
+    fn alias_checks_reject_at_acceptance() {
+        // The scene of `slow_stream_not_claimed_by_fast_hypothesis`: the
+        // 10 kbps walk over the 5 kbps stream explains the same edges as
+        // the true lock and wins the rate tie-break, so it reaches
+        // acceptance, where the residue-majority check drops it.
+        let mut c = cfg();
+        c.rate_plan = RatePlan::from_bps(100.0, &[5_000.0, 10_000.0, 20_000.0]).unwrap();
+        let edges = stream_edges(&alternating(100), 40.0, 200.0, Complex::new(0.1, 0.0));
+        let views = EdgeViews::build(&edges, 21_000);
+        let claimed = vec![false; edges.len()];
+        let mut table = FoldTable::with_unit_weights(views.times.clone());
+        let mut scratch = TrackScratch::default();
+        let ranked = rank(gather_round(
+            &views,
+            &claimed,
+            &mut table,
+            0,
+            21_000,
+            &c,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut scratch,
+        ));
+        let first = ranked.first().expect("candidates gathered");
+        assert!(
+            first.rate_bps > 5_000.0,
+            "alias ranks first: {}",
+            first.rate_bps
+        );
+        assert!(!passes_alias_checks(
+            &edges,
+            &views,
+            &claimed,
+            first,
+            &c,
+            &mut scratch
+        ));
+        assert_eq!(search(&edges, 21_000, &c)[0].rate_bps, 5_000.0);
+    }
+
+    /// A deterministic multi-tag NRZ capture: each tag contributes `h`
+    /// while its bit is set, with instant edges on its own slot grid,
+    /// plus xorshift pseudo-noise.
+    fn scene(tags: &[(f64, f64, usize, f64)], noise: f64, seed: u64, n: usize) -> Vec<Complex> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
+        };
+        let bit_of = |seed: u64, k: usize| -> bool {
+            let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ (k as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            s ^= s >> 31;
+            s & 1 == 1
+        };
+        (0..n)
+            .map(|t| {
+                let mut s = Complex::new(next() * noise, next() * noise);
+                for (ti, &(re, im, period, offset_frac)) in tags.iter().enumerate() {
+                    let offset = (offset_frac * period as f64) as usize;
+                    let k = (t + period - offset % period) / period;
+                    if bit_of(seed ^ ((ti as u64) << 17), k) {
+                        s += Complex::new(re, im);
+                    }
+                }
+                s
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 32 }))]
+
+        /// Alias checks at acceptance find the same streams as checks
+        /// straight after the gather, across multi-tag captures at the
+        /// plan's rates and their harmonics.
+        #[test]
+        fn acceptance_checks_match_eager_checks(
+            tags in proptest::collection::vec(
+                (-0.25f64..0.25, -0.25f64..0.25, 0usize..4, 0.0f64..1.0),
+                1..5,
+            ),
+            noise in 0.0f64..0.01,
+            seed in 1u64..1_000_000,
+        ) {
+            // Periods of 25, 50, 100 and 200 samples: the plan's rates.
+            let tags: Vec<(f64, f64, usize, f64)> = tags
+                .into_iter()
+                .map(|(re, im, p, off)| (re, im, 25 << p, off))
+                .collect();
+            let c = cfg();
+            let signal = scene(&tags, noise, seed, 6000);
+            let edges = detect_edges(&signal, &c);
+            prop_assume!(edges.len() >= MIN_TRACK_MATCHES);
+            search(&edges, signal.len(), &c);
+        }
     }
 }
